@@ -13,8 +13,6 @@
 //                   Treiber push vs malloc's arena handoff)
 //   frag-soak     — randomized alloc/free over a survivor table (slab
 //                   recycling under fragmentation)
-//   rc-churn      — deferred-refcount copy/drop and create/drop vs
-//                   shared_ptr on malloc
 //
 // Single-core caveat: on the 1-CPU container the cross-thread cell
 // measures the free path's atomics plus scheduler handoff, not parallel
@@ -31,7 +29,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -198,49 +195,6 @@ void BM_FragSoak_Malloc(benchmark::State &State) {
 }
 BENCHMARK(BM_FragSoak_Substrate);
 BENCHMARK(BM_FragSoak_Malloc);
-
-/// Refcount churn: copy/drop of a live handle (pure counter traffic) and
-/// create/drop (allocation + deferred vs inline destruction).
-struct RcPayload {
-  uint64_t Data[4] = {};
-};
-
-void BM_RcCopyDrop_Substrate(benchmark::State &State) {
-  heap::Rc<RcPayload> Keep = heap::newRc<RcPayload>();
-  for (auto _ : State) {
-    heap::Rc<RcPayload> Copy = Keep;
-    benchmark::DoNotOptimize(Copy.get());
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-void BM_SharedPtrCopyDrop_Malloc(benchmark::State &State) {
-  std::shared_ptr<RcPayload> Keep = std::make_shared<RcPayload>();
-  for (auto _ : State) {
-    std::shared_ptr<RcPayload> Copy = Keep;
-    benchmark::DoNotOptimize(Copy.get());
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_RcCopyDrop_Substrate);
-BENCHMARK(BM_SharedPtrCopyDrop_Malloc);
-
-void BM_RcCreateDrop_Substrate(benchmark::State &State) {
-  for (auto _ : State) {
-    heap::Rc<RcPayload> R = heap::newRc<RcPayload>();
-    benchmark::DoNotOptimize(R.get());
-  } // zero-drop defers to batched reclaim passes
-  heap::reclaim();
-  State.SetItemsProcessed(State.iterations());
-}
-void BM_SharedPtrCreateDrop_Malloc(benchmark::State &State) {
-  for (auto _ : State) {
-    std::shared_ptr<RcPayload> R = std::make_shared<RcPayload>();
-    benchmark::DoNotOptimize(R.get());
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_RcCreateDrop_Substrate);
-BENCHMARK(BM_SharedPtrCreateDrop_Malloc);
 
 } // namespace
 

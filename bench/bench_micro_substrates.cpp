@@ -24,6 +24,7 @@
 
 #include <array>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -55,6 +56,34 @@ static void BM_MonitorContendedEnterExit(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_MonitorContendedEnterExit)
+    ->Threads(2)
+    ->Threads(8)
+    ->UseRealTime();
+
+// Same-run std::mutex twins of the two cells above. `check.sh
+// --bench-smoke` reports each monitor cell as a ratio against its twin
+// from the same invocation, so the comparison carries across hosts.
+static void BM_StdMutexUncontended(benchmark::State &State) {
+  std::mutex M;
+  for (auto _ : State) {
+    std::lock_guard<std::mutex> Lock(M);
+    benchmark::DoNotOptimize(&M);
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_StdMutexUncontended);
+
+static void BM_StdMutexContendedEnterExit(benchmark::State &State) {
+  static std::mutex M;
+  static long Shared = 0;
+  for (auto _ : State) {
+    std::lock_guard<std::mutex> Lock(M);
+    ++Shared;
+    benchmark::DoNotOptimize(Shared);
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_StdMutexContendedEnterExit)
     ->Threads(2)
     ->Threads(8)
     ->UseRealTime();

@@ -9,8 +9,12 @@ ActorSystem::ActorSystem(unsigned Parallelism)
     : PoolPtr(std::make_unique<forkjoin::ForkJoinPool>(Parallelism)) {}
 
 ActorSystem::~ActorSystem() {
-  // Stop the workers first; only then is it safe to destroy actors.
-  PoolPtr.reset();
+  // Stop the workers first; only then is it safe to destroy actors. A
+  // running activation may still reschedule itself through PoolPtr (the
+  // dying pool drops that task), so the pointer must stay valid until the
+  // workers are joined: unique_ptr::reset would null it first.
+  delete PoolPtr.get();
+  PoolPtr.release();
   // Break ActorRef cycles (actors holding refs to each other/themselves)
   // so the cells can actually be reclaimed.
   runtime::Synchronized Sync(CellsLock);

@@ -265,10 +265,14 @@ template <typename MsgT> void Cell<MsgT>::process() {
   // are serialized by the Scheduled flag, so the field is ours only until
   // that store — afterwards the next activation may already be mutating
   // it. A stale HadPending merely schedules a redundant (empty)
-  // activation.
+  // activation. The store of Scheduled and the load of Head must both be
+  // seq_cst: with tell's seq_cst push-then-CAS they form a Dekker pair, so
+  // either this load sees the new message or that CAS sees Scheduled == 0.
+  // Release/acquire would let the load pass the store, and a message could
+  // be stranded with every worker parked.
   bool HadPending = Pending != nullptr;
-  Scheduled.store(0, std::memory_order_release);
-  if (HadPending || Head.load(std::memory_order_acquire))
+  Scheduled.store(0);
+  if (HadPending || Head.load())
     schedule();
 }
 

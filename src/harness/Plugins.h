@@ -228,9 +228,9 @@ private:
 /// pause/occupancy counters through the §2.2 plugin interface, the same
 /// way AllocationRatePlugin exposes the object counts. With ForceReclaim
 /// set, the plugin drives a reclaim pass after every iteration (outside
-/// the timed region) so deferred work — orphaned slabs, zero-count Rc
-/// objects — is attributed to the iteration that produced it, like a
-/// forced young-collection between harness iterations.
+/// the timed region) so deferred work — orphaned slabs — is attributed
+/// to the iteration that produced it, like a forced young-collection
+/// between harness iterations.
 class GcPausePlugin : public Plugin {
 public:
   struct IterationHeap {

@@ -34,9 +34,6 @@ constexpr uint32_t kMaxSlabs = 1u << 16;
 /// Index value marking the empty free-slab stack.
 constexpr uint32_t kNilIdx = 0xFFFFFFFFu;
 
-/// Zombie backlog that triggers an opportunistic reclaim pass.
-constexpr uint64_t kRcPendingTrigger = 1024;
-
 /// Orphan-slab backlog that triggers an opportunistic reclaim pass.
 constexpr uint64_t kOrphanTrigger = 8;
 
@@ -77,8 +74,6 @@ struct GlobalHeap {
   // -- Reclamation -----------------------------------------------------
   std::mutex ReclaimLock;
   std::atomic<uint64_t> Epoch{0};
-  std::atomic<detail::RcHeader *> ZombieHead{nullptr};
-  std::atomic<uint64_t> RcPending{0};
 
   // -- Global counters -------------------------------------------------
   std::atomic<uint64_t> RegionsAllocated{0};
@@ -88,7 +83,6 @@ struct GlobalHeap {
   std::atomic<uint64_t> ReclaimPasses{0};
   std::atomic<uint64_t> ReclaimTotalNanos{0};
   std::atomic<uint64_t> ReclaimMaxNanos{0};
-  std::atomic<uint64_t> RcDestroyed{0};
 };
 
 /// The process-wide heap state, leaked deliberately (like the metrics and
@@ -97,12 +91,6 @@ GlobalHeap &global() {
   static GlobalHeap *G = new GlobalHeap();
   return *G;
 }
-
-/// Reentrancy guard: an Rc payload destructor running inside a reclaim
-/// pass may itself drop references and trip the pending-zombie trigger;
-/// the nested attempt must not re-enter (std::mutex try_lock on the
-/// owning thread is UB).
-thread_local bool TlsInReclaim = false;
 
 void pushFreeSlab(GlobalHeap &G, uint32_t Idx) {
   uint64_t Old = G.FreeTop.load(std::memory_order_relaxed);
@@ -215,11 +203,9 @@ Slab *acquireSlab(GlobalHeap &G, uint64_t OwnerId, unsigned ClassIdx) {
 
 uint64_t reclaimLocked(GlobalHeap &G);
 
-/// Opportunistic reclaim: runs a pass only if no other thread (or this
-/// thread, reentrantly) is already in one.
+/// Opportunistic reclaim: runs a pass only if no other thread is already
+/// in one.
 void tryReclaim(GlobalHeap &G) {
-  if (TlsInReclaim)
-    return;
   std::unique_lock<std::mutex> Lock(G.ReclaimLock, std::try_to_lock);
   if (Lock.owns_lock())
     reclaimLocked(G);
@@ -277,28 +263,10 @@ ThreadCache *registerCache() {
 }
 
 uint64_t reclaimLocked(GlobalHeap &G) {
-  TlsInReclaim = true;
   uint64_t Start = wallNanos();
   uint64_t E = G.Epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
 
-  // 1. Zombie Rc objects: destroy outside the registry lock (payload
-  // destructors are allowed to allocate, free, and drop further refs).
-  uint64_t Destroyed = 0;
-  RcHeader *Z = G.ZombieHead.exchange(nullptr, std::memory_order_acquire);
-  while (Z) {
-    RcHeader *Next = Z->NextZombie;
-    Z->Destroy(Z);
-    Z->~RcHeader();
-    heap::deallocate(Z);
-    ++Destroyed;
-    Z = Next;
-  }
-  if (Destroyed) {
-    G.RcPending.fetch_sub(Destroyed, std::memory_order_relaxed);
-    G.RcDestroyed.fetch_add(Destroyed, std::memory_order_relaxed);
-  }
-
-  // 2. Orphan slabs and retired caches, one epoch after retirement (the
+  // Orphan slabs and retired caches, one epoch after retirement (the
   // trace exited-buffer protocol, generalized).
   uint64_t Recycled = 0;
   {
@@ -344,8 +312,7 @@ uint64_t reclaimLocked(GlobalHeap &G) {
                                                   std::memory_order_relaxed))
     ;
   trace::span(trace::EventKind::HeapReclaim, "heap.reclaim", Start, Pause,
-              /*A=*/Recycled, /*B=*/Destroyed);
-  TlsInReclaim = false;
+              /*A=*/Recycled);
   return Pause;
 }
 
@@ -377,8 +344,7 @@ void *allocateSlow(unsigned ClassIdx) {
       return allocateLarge(kSizeClasses[ClassIdx]);
   }
   if ((++TC->SlowPaths & 63u) == 0 &&
-      (G.RcPending.load(std::memory_order_relaxed) >= kRcPendingTrigger ||
-       G.OrphanCount.load(std::memory_order_relaxed) >= kOrphanTrigger))
+      G.OrphanCount.load(std::memory_order_relaxed) >= kOrphanTrigger)
     tryReclaim(G);
 
   Bin &B = TC->Bins[ClassIdx];
@@ -468,20 +434,6 @@ void badFree(void *Ptr) {
   std::abort();
 }
 
-void enqueueZombie(RcHeader *H) {
-  GlobalHeap &G = global();
-  statBump(Cell::RcDeferred);
-  RcHeader *Head = G.ZombieHead.load(std::memory_order_relaxed);
-  do {
-    H->NextZombie = Head;
-  } while (!G.ZombieHead.compare_exchange_weak(Head, H,
-                                               std::memory_order_release,
-                                               std::memory_order_relaxed));
-  if (G.RcPending.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      kRcPendingTrigger)
-    tryReclaim(G);
-}
-
 } // namespace detail
 
 //===----------------------------------------------------------------------===//
@@ -517,8 +469,6 @@ void *allocateAligned(size_t Size, size_t Align) {
 
 uint64_t reclaim() {
   GlobalHeap &G = global();
-  if (TlsInReclaim)
-    return 0;
   std::lock_guard<std::mutex> Lock(G.ReclaimLock);
   return reclaimLocked(G);
 }
@@ -553,7 +503,6 @@ HeapStats stats() {
   S.SmallAllocs = Cell(detail::Cell::SmallAllocs);
   S.LargeAllocs = Cell(detail::Cell::LargeAllocs);
   S.RemoteFrees = Cell(detail::Cell::RemoteFrees);
-  S.RcDeferred = Cell(detail::Cell::RcDeferred);
   S.RegionsAllocated = G.RegionsAllocated.load(std::memory_order_relaxed);
   S.SlabsInUse = G.SlabsInUse.load(std::memory_order_relaxed);
   S.SlabsRecycled = G.SlabsRecycled.load(std::memory_order_relaxed);
@@ -561,7 +510,6 @@ HeapStats stats() {
   S.ReclaimPasses = G.ReclaimPasses.load(std::memory_order_relaxed);
   S.ReclaimTotalNanos = G.ReclaimTotalNanos.load(std::memory_order_relaxed);
   S.ReclaimMaxNanos = G.ReclaimMaxNanos.load(std::memory_order_relaxed);
-  S.RcDestroyed = G.RcDestroyed.load(std::memory_order_relaxed);
   S.Epoch = G.Epoch.load(std::memory_order_relaxed);
   return S;
 }
@@ -582,8 +530,6 @@ HeapStats HeapStats::delta(const HeapStats &Begin, const HeapStats &End) {
   D.ReclaimTotalNanos = End.ReclaimTotalNanos - Begin.ReclaimTotalNanos;
   D.ReclaimMaxNanos =
       End.ReclaimMaxNanos != Begin.ReclaimMaxNanos ? End.ReclaimMaxNanos : 0;
-  D.RcDeferred = End.RcDeferred - Begin.RcDeferred;
-  D.RcDestroyed = End.RcDestroyed - Begin.RcDestroyed;
   D.Epoch = End.Epoch; // gauge
   return D;
 }

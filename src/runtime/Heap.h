@@ -12,8 +12,7 @@
 /// gives `newObject`/`newShared`/`newArray` (runtime/Alloc.h) a memory
 /// manager of their own with GC-like observability: per-thread size-class
 /// slab allocation, epoch-based deferred reclamation for the blocks and
-/// slabs of exited threads, an optional deferred-refcount mode for shared
-/// objects (à la RTGC), and a `HeapStats` snapshot (bytes live/allocated,
+/// slabs of exited threads, and a `HeapStats` snapshot (bytes live/allocated,
 /// slab occupancy, reclaim pauses) surfaced through the harness
 /// GcPausePlugin.
 ///
@@ -145,8 +144,6 @@ struct HeapStats {
   uint64_t ReclaimPasses = 0;
   uint64_t ReclaimTotalNanos = 0;
   uint64_t ReclaimMaxNanos = 0; ///< All-time max pause (see delta()).
-  uint64_t RcDeferred = 0;     ///< Rc objects whose count hit zero.
-  uint64_t RcDestroyed = 0;    ///< Rc objects destroyed by reclaim passes.
   uint64_t Epoch = 0;          ///< Gauge: current reclamation epoch.
 
   /// Bytes currently live (allocated minus freed, in rounded block bytes).
@@ -189,9 +186,8 @@ enum class Cell : unsigned {
   SmallAllocs,
   LargeAllocs,
   RemoteFrees,
-  RcDeferred,
 };
-inline constexpr unsigned kNumCells = 7;
+inline constexpr unsigned kNumCells = 6;
 
 /// The header at the base of every 64KB slab (and of every large block).
 /// Field ownership:
@@ -410,8 +406,7 @@ template <typename T> struct StlAllocator {
 // Reclamation
 //===----------------------------------------------------------------------===//
 
-/// Runs one reclaim pass ("GC pause"): destroys zombie Rc objects,
-/// adopts orphan slabs whose retirement epoch has passed, harvests their
+/// Runs one reclaim pass ("GC pause"): adopts orphan slabs whose retirement epoch has passed, harvests their
 /// remote-free stacks, recycles empty slabs, and folds the stat cells of
 /// exited threads. Advances the epoch. Serialized on a reclaim lock;
 /// safe to call concurrently with allocation on every other thread.
@@ -424,92 +419,6 @@ uint64_t epoch();
 /// Number of thread caches currently registered (live + retired awaiting
 /// reclaim). Test hook.
 size_t threadCacheCount();
-
-//===----------------------------------------------------------------------===//
-// Deferred reference counting (RTGC-style optional mode)
-//===----------------------------------------------------------------------===//
-
-namespace detail {
-
-/// Header preceding every Rc object. When the count hits zero the header
-/// is pushed onto a global zombie stack; destruction and memory reuse
-/// happen inside a later reclaim pass, off the mutator's critical path —
-/// the RTGC bargain: drop is wait-free, destruction is batched into
-/// pauses. Dtors therefore run on the reclaiming thread.
-struct RcHeader {
-  std::atomic<uint64_t> Refs{1};
-  void (*Destroy)(RcHeader *) = nullptr;
-  RcHeader *NextZombie = nullptr;
-};
-inline constexpr size_t kRcHeaderBytes = 32;
-static_assert(sizeof(RcHeader) <= kRcHeaderBytes);
-
-void enqueueZombie(RcHeader *H);
-
-} // namespace detail
-
-/// A shared handle with deferred destruction: copies bump an atomic
-/// count; the drop that reaches zero enqueues the object for the next
-/// reclaim pass instead of destroying it inline. Destruction order is
-/// unspecified and happens on the reclaiming thread.
-template <typename T> class Rc {
-  static_assert(alignof(T) <= 16, "Rc payloads must be 16-byte alignable");
-
-public:
-  Rc() = default;
-  explicit Rc(detail::RcHeader *Header) : H(Header) {}
-  Rc(const Rc &O) : H(O.H) {
-    if (H)
-      H->Refs.fetch_add(1, std::memory_order_relaxed);
-  }
-  Rc(Rc &&O) noexcept : H(O.H) { O.H = nullptr; }
-  Rc &operator=(Rc O) noexcept {
-    std::swap(H, O.H);
-    return *this;
-  }
-  ~Rc() { drop(); }
-
-  T *get() const {
-    return H ? reinterpret_cast<T *>(reinterpret_cast<char *>(H) +
-                                     detail::kRcHeaderBytes)
-             : nullptr;
-  }
-  T *operator->() const { return get(); }
-  T &operator*() const { return *get(); }
-  explicit operator bool() const { return H != nullptr; }
-
-  /// Current reference count (racy; tests/diagnostics only).
-  uint64_t useCount() const {
-    return H ? H->Refs.load(std::memory_order_relaxed) : 0;
-  }
-
-  void reset() {
-    drop();
-    H = nullptr;
-  }
-
-private:
-  void drop() {
-    if (H && H->Refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      detail::enqueueZombie(H);
-  }
-
-  detail::RcHeader *H = nullptr;
-};
-
-/// Allocates a deferred-refcount object on the substrate.
-template <typename T, typename... ArgTs> Rc<T> newRc(ArgTs &&...Args) {
-  void *Mem = allocate(detail::kRcHeaderBytes + sizeof(T));
-  auto *H = ::new (Mem) detail::RcHeader();
-  H->Destroy = [](detail::RcHeader *Header) {
-    reinterpret_cast<T *>(reinterpret_cast<char *>(Header) +
-                          detail::kRcHeaderBytes)
-        ->~T();
-  };
-  ::new (static_cast<char *>(Mem) + detail::kRcHeaderBytes)
-      T(std::forward<ArgTs>(Args)...);
-  return Rc<T>(H);
-}
 
 } // namespace heap
 } // namespace runtime

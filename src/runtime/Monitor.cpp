@@ -1,7 +1,9 @@
 //===- runtime/Monitor.cpp ------------------------------------------------==//
 //
-// The thin-lock monitor. The full state machine and memory-ordering
-// argument live in DESIGN.md §10; the load-bearing rules are
+// The thin/fat lock-word monitor. Every acquisition, the first one
+// included, goes through the word protocol below; there is no biased
+// mode. The full state machine and memory-ordering argument live in
+// DESIGN.md §10; the load-bearing rules are
 //
 //  (1) every transfer of ownership goes through a CAS on the lock word —
 //      an acquiring CAS is acquire, a releasing CAS is release, and since
@@ -22,19 +24,6 @@
 //      proves the queue was empty at release time. An enter that loses
 //      the push race against a release re-reads the word and acquires
 //      instead of parking — no lost wakeups.
-//  (4) the biased states sit outside rule (1): the bias owner's enter/exit
-//      use no RMW at all, so the transfer out of a biased epoch is the
-//      asymmetric Dekker duel instead. The owner announces its token in
-//      InCs (relaxed store + compiler fence) and confirms the word; the
-//      revoker CASes the word to the revoking state, calls
-//      membarrier(PRIVATE_EXPEDITED) — forcing every CPU through a full
-//      barrier — and then waits until InCs no longer carries the owner's
-//      token. The membarrier makes it impossible for the owner to confirm
-//      a stale biased word after the revoker has observed it absent from
-//      InCs, and the owner's release-store of InCs == 0 on exit is the
-//      edge the revoker's acquire-load synchronizes with. Everything the
-//      C++ memory model cannot express here (the fence asymmetry) is
-//      confined to this one duel; DESIGN.md §10 carries the full argument.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,62 +37,9 @@
 #include <chrono>
 #include <thread>
 
-#if defined(__linux__)
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
-
 using namespace ren;
 using namespace ren::runtime;
 using metrics::Metric;
-
-//===----------------------------------------------------------------------===//
-// Biased-locking support: membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)
-// issues a full memory barrier on every CPU currently running a thread of
-// this process. That is the revoker's half of the asymmetric Dekker duel
-// (rule 4); without it bias is never granted and the monitor is a pure
-// thin/fat word lock.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-#if defined(__linux__)
-// From <linux/membarrier.h>; spelled out so the build does not depend on
-// kernel headers being installed.
-constexpr int kMembarrierCmdQuery = 0;
-constexpr int kMembarrierCmdPrivateExpedited = 1 << 3;
-constexpr int kMembarrierCmdRegisterPrivateExpedited = 1 << 4;
-
-inline int membarrier(int Cmd) {
-  return static_cast<int>(syscall(__NR_membarrier, Cmd, 0, 0));
-}
-#endif
-
-/// Full barrier on every CPU running this process (only called once bias
-/// has been granted, which initBiasMode gates on support).
-inline void expeditedBarrier() {
-#if defined(__linux__)
-  membarrier(kMembarrierCmdPrivateExpedited);
-#endif
-}
-
-} // namespace
-
-std::atomic<int> runtime::detail::BiasMode{0};
-
-int runtime::detail::initBiasMode() {
-  int Mode = -1;
-#if defined(__linux__)
-  int Supported = membarrier(kMembarrierCmdQuery);
-  if (Supported > 0 && (Supported & kMembarrierCmdPrivateExpedited) &&
-      membarrier(kMembarrierCmdRegisterPrivateExpedited) == 0)
-    Mode = 1;
-#endif
-  // Racy double-init is fine: registration is idempotent and every racer
-  // computes the same answer.
-  BiasMode.store(Mode, std::memory_order_relaxed);
-  return Mode;
-}
 
 /// Wait-node state (wait-set arbitration between notify and timeout).
 namespace {
@@ -167,69 +103,6 @@ struct Monitor::QueueNode {
   std::atomic<bool> Released{false};
 };
 
-
-/// Takes a word in one of the biased states and returns a fresh word once
-/// no bias remains (the caller re-examines it under the thin/fat rules).
-/// At most one thread wins the revoker role per epoch; everyone else —
-/// including a bias owner whose claim confirm failed — waits out the
-/// kBiasedBit revoking state here.
-uint64_t Monitor::revokeBias(uint64_t W) {
-  for (unsigned Round = 0;; ++Round) {
-    if (!(W & kBiasedBit))
-      return W;
-    if (W != kBiasedBit) {
-      // Biased to some thread: try to become the revoker.
-      const uint64_t OwnerToken = W >> kTokenShift;
-      if (!Word.compare_exchange_weak(W, kBiasedBit,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed))
-        continue; // W refreshed; re-examine.
-      // Won the revoker role. Kill future grants first so the monitor
-      // cannot bounce back into a bias epoch after we neutralize it.
-      BiasDisabled.store(true, std::memory_order_relaxed);
-      trace::instant(trace::EventKind::MonitorInflate, "monitor.inflate",
-                     trace::objectId(this), 1);
-      // The Dekker duel (rule 4): after this barrier the owner cannot
-      // confirm a stale biased word, so InCs != OwnerToken proves the
-      // owner is not (and can no longer get) inside a critical section.
-      expeditedBarrier();
-      for (unsigned Wait = 0; InCs.load(std::memory_order_acquire) ==
-                              OwnerToken;
-           ++Wait)
-        backoffStep(Wait < 16 ? Wait : 16);
-      // Neutralize. On failure the owner converted itself to thin-held
-      // (kLockedBit) mid-revocation — either way the bias is gone.
-      uint64_t Expected = kBiasedBit;
-      Word.compare_exchange_strong(Expected, 0, std::memory_order_acq_rel,
-                                   std::memory_order_relaxed);
-      return Word.load(std::memory_order_relaxed);
-    }
-    // Somebody else is revoking: wait for the transition out.
-    backoffStep(Round < 16 ? Round : 16);
-    W = Word.load(std::memory_order_relaxed);
-  }
-}
-
-/// Converts a biased-held monitor to thin-held so the word protocol
-/// (queue pushes, releaseOwnership) applies. Called by the owner before
-/// any wait-set operation; a no-op when the monitor was acquired through
-/// the word protocol.
-void Monitor::unbiasSelf(uint64_t Self) {
-  if (InCs.load(std::memory_order_relaxed) != Self)
-    return;
-  // Inside a biased critical section the word is either our biased word
-  // or kBiasedBit (a revoker waiting on us); a revoker cannot complete
-  // while InCs carries our token, so this CAS loop only ever races the
-  // biased -> revoking transition.
-  uint64_t W = Word.load(std::memory_order_relaxed);
-  do {
-    assert((W & kBiasedBit) && "biased critical section without bias word");
-  } while (!Word.compare_exchange_weak(W, kLockedBit,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed));
-  InCs.store(0, std::memory_order_release);
-}
-
 void Monitor::enterCold(uint64_t Self) {
   // Tracing guard: one relaxed load when disabled; the timestamp is taken
   // only when a session is recording.
@@ -252,30 +125,17 @@ void Monitor::enterCold(uint64_t Self) {
 }
 
 void Monitor::enterSlow(uint64_t Self) {
-  // The contended-acquirer count covers the whole slow path, *including*
-  // bias revocation: a revoker blocked on the owner's critical section
-  // must already read as contended, or a holder polling
-  // contendedAcquirers() before releasing would deadlock against it.
+  // The contended-acquirer count covers the whole slow path (spin and
+  // queue), so a holder polling contendedAcquirers() before releasing sees
+  // every committed contender.
   Queued.fetch_add(1, std::memory_order_relaxed);
-
-  // Phase 0 — a biased word means the lock's owner is not even using the
-  // word protocol yet: revoke the bias (waiting out the owner's critical
-  // section if it is in one), then compete under the thin/fat rules.
   uint64_t W = Word.load(std::memory_order_relaxed);
-  if (W & kBiasedBit)
-    W = revokeBias(W);
 
   // Phase 1 — bounded adaptive spin: worth it only while the lock is held
   // thin (somebody queued means the holder will wake *them* first, so a
   // spinner would cut the queue ahead of threads that already paid for a
   // park — give up immediately and join them).
   for (unsigned Round = 0, Bound = spinRounds(); Round < Bound; ++Round) {
-    if (W & kBiasedBit) {
-      // Re-granted under our feet (only possible before the first
-      // revocation sets BiasDisabled): revoke again.
-      W = revokeBias(W);
-      continue;
-    }
     if (!(W & kLockedBit)) {
       if (Word.compare_exchange_weak(W, W | kLockedBit,
                                      std::memory_order_acquire,
@@ -301,18 +161,10 @@ void Monitor::enterSlow(uint64_t Self) {
 }
 
 void Monitor::acquireQueued(QueueNode &N, uint64_t Self) {
-  static_assert(alignof(QueueNode) >= 4,
-                "QueueNode addresses must leave bits 0-1 free for "
-                "kLockedBit and kBiasedBit");
+  static_assert(alignof(QueueNode) >= 2,
+                "QueueNode addresses must leave bit 0 free for kLockedBit");
   for (;;) {
     uint64_t W = Word.load(std::memory_order_relaxed);
-    if (W & kBiasedBit) {
-      // The word can re-enter a bias epoch while we race (a grant from 0
-      // before the first revocation disables it); nodes cannot be pushed
-      // onto a biased word, so revoke and re-examine.
-      revokeBias(W);
-      continue;
-    }
     if (!(W & kLockedBit)) {
       // Free (queue may be non-empty — barging is allowed, as in HotSpot;
       // fairness is traded for the release fast path).
@@ -423,7 +275,6 @@ void Monitor::wait() {
   const uint64_t Self = currentThreadToken();
   assert(Owner.load(std::memory_order_relaxed) == Self &&
          "wait requires ownership");
-  unbiasSelf(Self); // wait-set machinery runs on the word protocol
   QueueNode N;
   N.P = &currentParker();
   appendWaiter(&N);
@@ -450,7 +301,6 @@ bool Monitor::waitFor(uint64_t Millis) {
   const uint64_t Self = currentThreadToken();
   assert(Owner.load(std::memory_order_relaxed) == Self &&
          "wait requires ownership");
-  unbiasSelf(Self); // wait-set machinery runs on the word protocol
   QueueNode N;
   N.P = &currentParker();
   appendWaiter(&N);
@@ -510,7 +360,6 @@ void Monitor::notifyOne() {
   metrics::count(Metric::Notify);
   assert(Owner.load(std::memory_order_relaxed) == currentThreadToken() &&
          "notify requires ownership");
-  unbiasSelf(currentThreadToken()); // requeue pushes need the locked bit
   trace::instant(trace::EventKind::MonitorNotify, "monitor.notify",
                  trace::objectId(this), 0);
   while (QueueNode *N = WaitHead) {
@@ -534,7 +383,6 @@ void Monitor::notifyAll() {
   metrics::count(Metric::Notify);
   assert(Owner.load(std::memory_order_relaxed) == currentThreadToken() &&
          "notify requires ownership");
-  unbiasSelf(currentThreadToken()); // requeue pushes need the locked bit
   trace::instant(trace::EventKind::MonitorNotify, "monitor.notify",
                  trace::objectId(this), 1);
   while (QueueNode *N = WaitHead) {

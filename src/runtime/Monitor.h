@@ -16,23 +16,17 @@
 ///
 /// The implementation is a thin-lock monitor in the style of HotSpot's lock
 /// words and *Compact Java Monitors* (Dice & Kogan): a single atomic lock
-/// word whose uncontended enter/exit is at most one CAS each, reentrancy is
-/// a lock-free owner-token check with an inline recursion count, and
+/// word whose uncontended enter/exit is one CAS each, reentrancy is a
+/// lock-free owner-token check with an inline recursion count, and
 /// contention *inflates* to a fat path — bounded adaptive spinning, then a
 /// CAS-registered entry queue of stack-allocated wait nodes parked on the
 /// per-thread \c runtime::Parker. notify requeues wait-set nodes onto the
 /// entry queue instead of waking them (no thundering herd); the eventual
-/// \c exit hands the wakeup over.
-///
-/// On top of the thin lock sits HotSpot-style *biased locking*: the first
-/// thread to enter a monitor stamps its token into the lock word, and its
-/// subsequent enter/exit pairs run with no atomic RMW at all — plain loads
-/// and stores on the owner's side of an asymmetric Dekker duel. The first
-/// *other* thread to touch the monitor revokes the bias once, paying a
-/// membarrier() to force the owner's CPU through a fence, after which the
-/// monitor permanently runs the thin/fat word protocol. There is no
-/// std::mutex or std::condition_variable anywhere in the monitor; the state
-/// machine and its memory-ordering argument are documented in DESIGN.md §10.
+/// \c exit hands the wakeup over. There is no biased locking (HotSpot
+/// retired it in JEP 374 for the same reason: its complexity did not pay
+/// for itself end to end), and no std::mutex or std::condition_variable
+/// anywhere in the monitor; the state machine and its memory-ordering
+/// argument are documented in DESIGN.md §10.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,20 +44,6 @@
 namespace ren {
 namespace runtime {
 
-namespace detail {
-/// Tri-state biased-locking support flag: 0 unprobed, 1 enabled, -1
-/// unavailable (no membarrier(PRIVATE_EXPEDITED) on this kernel — bias is
-/// never granted and monitors run the pure word protocol).
-extern std::atomic<int> BiasMode;
-int initBiasMode();
-inline bool biasEnabled() {
-  int Mode = BiasMode.load(std::memory_order_relaxed);
-  if (Mode == 0)
-    Mode = initBiasMode();
-  return Mode > 0;
-}
-} // namespace detail
-
 /// A reentrant monitor with an associated wait set, like a Java object
 /// monitor. Waiting releases the full recursion depth and restores it after
 /// wakeup; spurious wakeups are permitted (as in Java), so callers must
@@ -76,61 +56,16 @@ public:
 
   /// Enters the monitor, blocking until available. Reentrant.
   ///
-  /// The fast paths are inlined. A monitor biased to the calling thread is
-  /// entered with no atomic RMW at all — plain loads and stores plus a
-  /// compiler fence, the owner's half of the asymmetric Dekker duel (the
-  /// revoker's membarrier supplies the hardware ordering; see DESIGN.md
-  /// §10). A neutral monitor is entered with one CAS, which also grants
-  /// the bias on first touch. Reentrancy and contention take the
-  /// out-of-line cold path.
+  /// The uncontended fast path is inlined: a free monitor is entered with
+  /// one CAS. The CAS is tried only when the word reads 0, so a reentrant
+  /// enter (word already locked) does not pay for a failing CAS.
+  /// Reentrancy and contention take the out-of-line cold path.
   void enter() {
     const uint64_t Self = currentThreadToken();
-    const uint64_t Biased = (Self << kTokenShift) | kBiasedBit;
     uint64_t W = Word.load(std::memory_order_relaxed);
-    if (W == Biased && Depth > 0) {
-      // Biased reentrant: we are mid-critical-section (Depth > 0 implies
-      // InCs == 1, so no revocation can have completed and the word read
-      // is decisive). Zero RMW.
-      ++Depth;
-      metrics::count(metrics::Metric::Synch);
-      trace::instant(trace::EventKind::MonitorAcquire, "monitor.acquire",
-                     trace::objectId(this), Depth);
-      return;
-    }
-    if (W == 0 && detail::biasEnabled() &&
-        !BiasDisabled.load(std::memory_order_relaxed)) {
-      // First touch of a neutral monitor: grant ourselves the bias. On
-      // CAS failure W is refreshed and we fall through to the other paths.
-      if (Word.compare_exchange_strong(W, Biased, std::memory_order_acq_rel,
-                                       std::memory_order_relaxed))
-        W = Biased;
-    }
-    if (W == Biased) {
-      // Claim the biased critical section: announce our token in InCs,
-      // then confirm the bias still stands. The signal fence only stops
-      // the compiler; a concurrent revoker's membarrier() makes this
-      // store/load pair totally ordered against its CAS/load pair on real
-      // hardware.
-      InCs.store(Self, std::memory_order_relaxed);
-      std::atomic_signal_fence(std::memory_order_seq_cst);
-      if (Word.load(std::memory_order_relaxed) == Biased) {
-        Owner.store(Self, std::memory_order_relaxed);
-        Depth = 1;
-        metrics::count(metrics::Metric::Synch);
-        trace::instant(trace::EventKind::MonitorAcquire, "monitor.acquire",
-                       trace::objectId(this), Depth);
-        return;
-      }
-      // A revoker beat us: retract the claim and contend normally. The
-      // CAS (not a plain store) means a claim left over from a *previous*
-      // bias epoch can never erase the current owner's token.
-      uint64_t Mine = Self;
-      InCs.compare_exchange_strong(Mine, 0, std::memory_order_release,
-                                   std::memory_order_relaxed);
-    } else if (W == 0 &&
-               Word.compare_exchange_strong(W, kLockedBit,
-                                            std::memory_order_acquire,
-                                            std::memory_order_relaxed)) {
+    if (W == 0 && Word.compare_exchange_strong(W, kLockedBit,
+                                               std::memory_order_acquire,
+                                               std::memory_order_relaxed)) {
       // Thin uncontended acquire: the CAS above is the entire lock.
       Owner.store(Self, std::memory_order_relaxed);
       Depth = 1;
@@ -142,40 +77,19 @@ public:
     enterCold(Self);
   }
 
-  /// Attempts to enter without blocking (never spins, parks, or revokes a
-  /// bias). \returns true on success.
-  ///
-  /// A monitor biased to another thread reads as held — even between that
-  /// thread's critical sections — because acquiring it would require a
-  /// blocking bias revocation. The first contended \c enter revokes the
-  /// bias for good, after which tryEnter sees the plain word protocol.
+  /// Attempts to enter without blocking (never spins or parks).
+  /// \returns true on success.
   bool tryEnter() {
     const uint64_t Self = currentThreadToken();
     uint64_t W = Word.load(std::memory_order_relaxed);
     if (Owner.load(std::memory_order_relaxed) == Self) {
-      // Reentrant (thin, fat, or biased): only this thread can have stored
-      // Self, so the relaxed load is decisive.
+      // Reentrant: only this thread can have stored Self, so the relaxed
+      // load is decisive.
       ++Depth;
       metrics::count(metrics::Metric::Synch);
       return true;
     }
-    if (W == ((Self << kTokenShift) | kBiasedBit)) {
-      // Biased to us but not in a critical section: the usual claim duel.
-      InCs.store(Self, std::memory_order_relaxed);
-      std::atomic_signal_fence(std::memory_order_seq_cst);
-      if (Word.load(std::memory_order_relaxed) ==
-          ((Self << kTokenShift) | kBiasedBit)) {
-        Owner.store(Self, std::memory_order_relaxed);
-        Depth = 1;
-        metrics::count(metrics::Metric::Synch);
-        return true;
-      }
-      uint64_t Mine = Self; // revocation in flight: retract the claim
-      InCs.compare_exchange_strong(Mine, 0, std::memory_order_release,
-                                   std::memory_order_relaxed);
-      return false;
-    }
-    if (!(W & (kLockedBit | kBiasedBit)) &&
+    if (!(W & kLockedBit) &&
         Word.compare_exchange_strong(W, W | kLockedBit,
                                      std::memory_order_acquire,
                                      std::memory_order_relaxed)) {
@@ -191,28 +105,14 @@ public:
 
   /// Exits the monitor. Must be called by the owner.
   ///
-  /// A biased critical section (InCs set — only the bias owner ever sets
-  /// it, and the holder is unique, so a relaxed read is decisive) exits
-  /// with plain stores: the release store of InCs == 0 is what a revoker
-  /// synchronizes with. The thin release is one CAS that proves the entry
-  /// queue was empty at release time; a queued node diverts to the
-  /// out-of-line pop and handoff (a push can only land while the locked
-  /// bit is set, so this CAS cannot race one in — see Monitor.cpp rule 3).
+  /// The thin release is one CAS that proves the entry queue was empty at
+  /// release time; a queued node diverts to the out-of-line pop and
+  /// handoff (a push can only land while the locked bit is set, so this
+  /// CAS cannot race one in — see Monitor.cpp rule 3).
   void exit() {
-    const uint64_t Self = currentThreadToken();
-    assert(Owner.load(std::memory_order_relaxed) == Self &&
+    assert(Owner.load(std::memory_order_relaxed) == currentThreadToken() &&
            "monitor exited by non-owner");
     assert(Depth > 0 && "monitor exit without enter");
-    if (InCs.load(std::memory_order_relaxed) == Self) {
-      // Biased exit: zero RMW. Only we can have stored our token, so the
-      // relaxed read is decisive. Owner clears before InCs so a revoker
-      // that acquire-reads InCs != us sees a fully released monitor.
-      if (--Depth == 0) {
-        Owner.store(0, std::memory_order_relaxed);
-        InCs.store(0, std::memory_order_release);
-      }
-      return;
-    }
     if (--Depth > 0)
       return;
     Owner.store(0, std::memory_order_relaxed);
@@ -230,10 +130,10 @@ public:
     return Owner.load(std::memory_order_relaxed) == currentThreadToken();
   }
 
-  /// Number of threads currently inside the contended slow path (revoking
-  /// a bias, spinning, or queued). Lock-free read. Lets tests and
-  /// profilers build deterministic contention scenarios: spin until a
-  /// victim is provably committed to the contended path before releasing.
+  /// Number of threads currently inside the contended slow path (spinning
+  /// or queued). Lock-free read. Lets tests and profilers build
+  /// deterministic contention scenarios: spin until a victim is provably
+  /// committed to the contended path before releasing.
   unsigned contendedAcquirers() const {
     return Queued.load(std::memory_order_acquire);
   }
@@ -265,36 +165,18 @@ private:
   /// through the lock word) and as a wait-set link (owner-protected FIFO).
   struct QueueNode;
 
-  /// The lock word. Bit 0 is the locked bit, bit 1 the biased bit, and the
-  /// remaining bits are either the entry-queue head pointer (QueueNodes
-  /// are ≥8-aligned, so bits 0–2 of a node address are zero) or, in the
-  /// biased states, the bias owner's thread token:
+  /// The lock word. Bit 0 is the locked bit; the remaining bits are the
+  /// entry-queue head pointer (QueueNodes are ≥2-aligned, so bit 0 of a
+  /// node address is zero):
   ///
   ///   0                     unlocked, no queue (thin, free)
   ///   kLockedBit            locked, no queue   (thin, held)
   ///   node | kLockedBit     locked, queued     (fat, held)
   ///   node                  unlocked, queued   (fat, free — wakeup race
   ///                                             window; queuers re-check)
-  ///   tok<<2 | kBiasedBit   biased to thread tok (held iff InCs == 1)
-  ///   kBiasedBit            bias revocation in progress (the revoker owns
-  ///                         the word until it CASes to 0; everyone else
-  ///                         waits for the transition)
   static constexpr uint64_t kLockedBit = 1;
-  static constexpr uint64_t kBiasedBit = 2;
-  static constexpr unsigned kTokenShift = 2;
 
   std::atomic<uint64_t> Word{0};
-  /// The bias owner's token while it is inside (or claiming) a biased
-  /// critical section, 0 otherwise; the revoker's wait target. Holding the
-  /// claimant's *token* (not a flag) plus CAS-retraction means a stale
-  /// claim from a previous bias epoch can neither fake the current owner
-  /// being in a critical section nor erase its genuine claim. Read with
-  /// acquire by revokers, whose membarrier makes the owner's relaxed
-  /// claim-protocol accesses ordered against theirs.
-  std::atomic<uint64_t> InCs{0};
-  /// Sticky per-monitor bias kill switch, set by the first revocation so a
-  /// contended monitor never re-enters the grant/revoke cycle.
-  std::atomic<bool> BiasDisabled{false};
   /// Owner thread token (currentThreadToken()), 0 when free. Written only
   /// by the thread that just won/held the lock word; read lock-free by
   /// heldByCurrentThread and the reentrancy fast path.
@@ -310,8 +192,6 @@ private:
   void enterCold(uint64_t Self);
   void enterSlow(uint64_t Self);
   void acquireQueued(QueueNode &N, uint64_t Self);
-  uint64_t revokeBias(uint64_t W);
-  void unbiasSelf(uint64_t Self);
   void releaseOwnership();
   void requeueToEntry(QueueNode *N);
   void appendWaiter(QueueNode *N);

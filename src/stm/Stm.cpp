@@ -78,8 +78,7 @@ bool StmRuntime::commit(Transaction &Txn) {
   return true;
 }
 
-void StmRuntime::awaitCommit() {
-  uint64_t Seen = CommitCount.load(std::memory_order_acquire);
+void StmRuntime::awaitCommit(uint64_t Seen) {
   runtime::Synchronized Sync(CommitMonitor);
   // Bounded wait: a commit may land between the count read and the wait,
   // so never block unboundedly on the notification alone.

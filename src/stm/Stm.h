@@ -172,8 +172,10 @@ public:
   /// Runs the TL2 commit protocol. \returns false when validation fails.
   bool commit(Transaction &Txn);
 
-  /// Blocks until some transaction commits (for retry support).
-  void awaitCommit();
+  /// Blocks until the commit count moves past \p Seen (for retry
+  /// support). \p Seen must be read before the retrying transaction's
+  /// first read, so a commit landing during those reads wakes it.
+  void awaitCommit(uint64_t Seen);
 
   /// Statistics counters (monotonic, for tests and reporting).
   uint64_t commits() const { return CommitCount.load(); }
@@ -218,6 +220,7 @@ template <typename T> void TVar<T>::set(Transaction &Txn, T NewValue) {
 template <typename FnT> auto atomically(FnT Body) {
   StmRuntime &Rt = StmRuntime::get();
   for (;;) {
+    const uint64_t Seen = Rt.commits();
     Transaction Txn(Rt.clockValue());
     try {
       if constexpr (std::is_void_v<decltype(Body(Txn))>) {
@@ -233,7 +236,7 @@ template <typename FnT> auto atomically(FnT Body) {
     } catch (const TxnAbort &) {
       Rt.noteAbort();
     } catch (const TxnRetry &) {
-      Rt.awaitCommit();
+      Rt.awaitCommit(Seen);
     }
   }
 }

@@ -83,7 +83,7 @@ enum class EventKind : uint8_t {
   Iteration,        ///< Harness iteration span. A = index, B = warmup.
   Run,              ///< Harness whole-benchmark span.
   HeapReclaim,      ///< Managed-heap reclaim pass ("GC pause"); Dur =
-                    ///< pause ns, A = slabs recycled, B = Rc destroyed.
+                    ///< pause ns, A = slabs recycled.
   User,             ///< Free-form event for tests and ad-hoc probes.
 };
 

@@ -104,13 +104,22 @@ TEST(ForkJoinPoolTest, SingleWorkerPoolStillCompletes) {
 
 TEST(ForkJoinPoolTest, TaskAllocationAndParkingAreCounted) {
   MetricSnapshot Before = MetricsRegistry::get().snapshot();
+  auto Delta = [&] {
+    return MetricSnapshot::delta(Before, MetricsRegistry::get().snapshot());
+  };
   {
     ForkJoinPool Pool(2);
     for (int I = 0; I < 50; ++I)
       Pool.invoke([] { return 1; });
+    // Let the workers go idle: on a multi-core host they stay in the
+    // spin phase while invokes keep arriving, and a pool destroyed right
+    // away may never have parked one.
+    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (Delta().get(Metric::Park) == 0 &&
+           std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  MetricSnapshot D =
-      MetricSnapshot::delta(Before, MetricsRegistry::get().snapshot());
+  MetricSnapshot D = Delta();
   EXPECT_GE(D.get(Metric::Object), 50u) << "task objects are counted";
   EXPECT_GT(D.get(Metric::Park), 0u) << "idle workers park";
 }

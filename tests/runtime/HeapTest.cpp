@@ -293,49 +293,3 @@ TEST(HeapTest, StlAllocatorBacksStdContainers) {
   EXPECT_GT(D.BytesAllocated, 0u);
   EXPECT_EQ(D.BytesAllocated, D.BytesFreed);
 }
-
-//===----------------------------------------------------------------------===//
-// Deferred refcounting (Rc)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct RcProbe {
-  explicit RcProbe(std::atomic<int> &Destroyed) : Destroyed(Destroyed) {}
-  ~RcProbe() { Destroyed.fetch_add(1); }
-  std::atomic<int> &Destroyed;
-  uint64_t Payload[4] = {1, 2, 3, 4};
-};
-
-} // namespace
-
-TEST(HeapTest, RcDestructionIsDeferredToReclaim) {
-  std::atomic<int> Destroyed{0};
-  HeapStats Before = stats();
-  {
-    Rc<RcProbe> A = newRc<RcProbe>(Destroyed);
-    Rc<RcProbe> B = A; // copy bumps the count
-    EXPECT_EQ(A.useCount(), 2u);
-    EXPECT_EQ(B->Payload[3], 4u);
-  }
-  // Both handles dropped: the object is a zombie, not yet destroyed.
-  EXPECT_EQ(Destroyed.load(), 0);
-  HeapStats Mid = delta(Before);
-  EXPECT_GE(Mid.RcDeferred, 1u);
-  reclaim();
-  EXPECT_EQ(Destroyed.load(), 1);
-  HeapStats After = delta(Before);
-  EXPECT_GE(After.RcDestroyed, 1u);
-  EXPECT_EQ(After.BytesAllocated, After.BytesFreed);
-}
-
-TEST(HeapTest, RcMoveDoesNotChangeCount) {
-  std::atomic<int> Destroyed{0};
-  Rc<RcProbe> A = newRc<RcProbe>(Destroyed);
-  Rc<RcProbe> B = std::move(A);
-  EXPECT_FALSE(static_cast<bool>(A));
-  EXPECT_EQ(B.useCount(), 1u);
-  B.reset();
-  reclaim();
-  EXPECT_EQ(Destroyed.load(), 1);
-}

@@ -67,47 +67,15 @@ TEST(MonitorTest, TryEnterSucceedsReentrantly) {
   EXPECT_FALSE(M.heldByCurrentThread());
 }
 
-// The first thread to touch a monitor biases it to itself; the bias
-// outlives its critical sections, so a foreign tryEnter reads the monitor
-// as held (acquiring it would need a blocking revocation, which tryEnter
-// must not do). A blocking enter revokes the bias and hands exclusion
-// over; afterwards the word protocol serves everyone, including tryEnter.
-TEST(MonitorTest, BiasRevocationHandsOverExclusion) {
-  if (!ren::runtime::detail::biasEnabled())
-    GTEST_SKIP() << "no membarrier(PRIVATE_EXPEDITED); bias never granted";
-  Monitor M;
-  M.enter(); // grants this thread the bias
-  M.exit();  // bias sticks after exit
-  bool ForeignTry = true;
-  bool ForeignEnter = false;
-  std::thread Other([&] {
-    ForeignTry = M.tryEnter(); // biased elsewhere: reads as held
-    M.enter();                 // revokes the bias, then acquires
-    ForeignEnter = M.heldByCurrentThread();
-    M.exit();
-  });
-  Other.join();
-  EXPECT_FALSE(ForeignTry);
-  EXPECT_TRUE(ForeignEnter);
-  // Post-revocation the monitor runs the plain word protocol: free means
-  // tryEnter succeeds, from any thread.
-  EXPECT_TRUE(M.tryEnter());
-  EXPECT_TRUE(M.heldByCurrentThread());
-  M.exit();
-  EXPECT_FALSE(M.heldByCurrentThread());
-}
-
-// Revoking the bias of a thread that is *inside* a critical section must
-// wait for that section to finish — the revoked owner's updates must be
-// visible to the revoker, and the critical sections must never overlap.
-TEST(MonitorTest, BiasRevocationWaitsForCriticalSection) {
-  if (!ren::runtime::detail::biasEnabled())
-    GTEST_SKIP() << "no membarrier(PRIVATE_EXPEDITED); bias never granted";
+// An enter against a holder that is *inside* its critical section must
+// wait for that section to finish — the holder's updates must be visible
+// to the next owner, and the critical sections must never overlap.
+TEST(MonitorTest, EnterWaitsForHoldersCriticalSection) {
   Monitor M;
   int Shared = 0;
   std::atomic<bool> InSection{false};
   std::thread Owner([&] {
-    M.enter(); // biased: zero-RMW critical section
+    M.enter(); // first touch: thin acquire
     InSection.store(true);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     Shared = 42;
@@ -115,16 +83,16 @@ TEST(MonitorTest, BiasRevocationWaitsForCriticalSection) {
   });
   while (!InSection.load())
     std::this_thread::yield();
-  M.enter(); // must block until Owner's biased section completes
+  M.enter(); // must block until Owner's section completes
   EXPECT_EQ(Shared, 42);
   M.exit();
   Owner.join();
 }
 
-// Biased critical sections of distinct monitors nest: the in-section
-// claim is per-monitor state, not per-thread, so holding one biased
-// monitor must not disturb entering (or exiting) another.
-TEST(MonitorTest, BiasedMonitorsNestIndependently) {
+// Critical sections of distinct monitors nest: ownership is per-monitor
+// state, not per-thread, so holding one monitor must not disturb entering
+// (or exiting) another.
+TEST(MonitorTest, MonitorsNestIndependently) {
   Monitor M1, M2;
   M1.enter();
   M2.enter();

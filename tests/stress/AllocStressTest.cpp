@@ -4,8 +4,7 @@
 // (ctest -L stress, and the TSan/ASan target for the heap rework): remote
 // frees racing each other and the owner's harvest, allocation racing
 // reclaim passes, thread exit orphaning slabs under a concurrent
-// reclaimer, empty-slab recycling racing late remote frees, and the
-// deferred-refcount drop race.
+// reclaimer, and empty-slab recycling racing late remote frees.
 //
 // Every scenario observes data integrity (seeded fill patterns checked
 // before free) rather than raw stat equality: a lost block, a
@@ -105,7 +104,7 @@ private:
 };
 
 /// Allocation/free churn racing concurrent reclaim passes: the epoch
-/// advance, orphan adoption, and zombie drain must never disturb blocks
+/// advance and orphan adoption must never disturb blocks
 /// a live thread is actively using.
 class AllocVsReclaimScenario : public StressScenario {
 public:
@@ -274,57 +273,6 @@ private:
   std::atomic<int> Corrupt{0};
 };
 
-/// The deferred-refcount drop race: three actors copy and drop handles
-/// to one shared object; exactly one drop reaches zero, so after a final
-/// reclaim the payload must have been destroyed exactly once.
-class RcDropRaceScenario : public StressScenario {
-public:
-  std::string name() const override { return "heap-rc-drop"; }
-  unsigned actors() const override { return 3; }
-
-  struct Payload {
-    explicit Payload(std::atomic<int> &Destroyed) : Destroyed(Destroyed) {}
-    ~Payload() { Destroyed.fetch_add(1); }
-    std::atomic<int> &Destroyed;
-    uint64_t Guard = 0xD00DFEED;
-  };
-
-  void prepare() override {
-    Destroyed.store(0);
-    Shared = heap::newRc<Payload>(Destroyed);
-    for (auto &H : Handles)
-      H = Shared;
-    Shared.reset();
-  }
-
-  void run(unsigned Index, InterleavingNudge &Nudge) override {
-    for (int I = 0; I < 32; ++I) {
-      heap::Rc<Payload> Copy = Handles[Index];
-      if (Copy->Guard != 0xD00DFEED)
-        Destroyed.fetch_add(1000); // use-after-destroy screams
-      if (I % 8 == 0)
-        Nudge.pause();
-    }
-    Handles[Index].reset();
-  }
-
-  std::string observe() override {
-    heap::reclaim();
-    return "destroyed:" + std::to_string(Destroyed.load());
-  }
-
-  OutcomeSpec spec() const override {
-    OutcomeSpec Spec;
-    Spec.accept("destroyed:1", "the zero-reaching drop enqueued one zombie");
-    return Spec;
-  }
-
-private:
-  std::atomic<int> Destroyed{0};
-  heap::Rc<Payload> Shared;
-  heap::Rc<Payload> Handles[3];
-};
-
 } // namespace
 
 TEST(AllocStressTest, RemoteFreeRace) {
@@ -355,14 +303,6 @@ TEST(AllocStressTest, RecycleVsRemoteFree) {
   RecycleVsRemoteFreeScenario S;
   StressRunner::Options Opts;
   Opts.Repetitions = 300;
-  StressReport Report = StressRunner(Opts).run(S);
-  EXPECT_TRUE(Report.passed()) << Report.summary();
-}
-
-TEST(AllocStressTest, RcDropRace) {
-  RcDropRaceScenario S;
-  StressRunner::Options Opts;
-  Opts.Repetitions = 400;
   StressReport Report = StressRunner(Opts).run(S);
   EXPECT_TRUE(Report.passed()) << Report.summary();
 }

@@ -2,8 +2,9 @@
 //
 // Concurrency stress scenarios for the thin-lock Monitor rewrite
 // (ctest -L stress, TSan target): enter/enter inflation races,
-// notify-vs-timed-wait arbitration, exit-vs-inflating-enter lost-wakeup
-// hunting, and reentrant depth conservation across contention and wait.
+// first-touch races on a fresh word, notify-vs-timed-wait arbitration,
+// exit-vs-inflating-enter lost-wakeup hunting, and reentrant depth
+// conservation across contention and wait.
 // A lost wakeup in the lock-word protocol shows up either as a forbidden
 // outcome or as a hang caught by the stress tier's timeout.
 //
@@ -251,49 +252,47 @@ private:
   bool Ok = true;
 };
 
-/// Bias grant vs revocation: a *fresh* monitor every repetition, so each
-/// rep replays the full bias life cycle — grant CAS from the neutral
-/// word, zero-RMW biased critical sections, and a concurrent revoker
-/// running the membarrier Dekker duel against the owner's claim. A claim
-/// that survives a completed revocation (or a revocation that completes
-/// mid-critical-section) shows up as a lost update; a word left biased
-/// or locked after both actors drain shows up as a failed tryEnter.
-class BiasRevocationRaceScenario : public StressScenario {
+/// First touch of a fresh lock word: a *fresh* monitor every repetition,
+/// so each rep races two actors' first acquisitions against the word's
+/// initial 0 state — the inline thin CAS, its failure into the spin and
+/// queue paths, and the release handoff. A broken first-touch handoff
+/// shows up as a lost update; a word left locked or queued after both
+/// actors drain shows up as a failed tryEnter.
+class FirstTouchRaceScenario : public StressScenario {
 public:
-  std::string name() const override { return "monitor-bias-revocation"; }
+  std::string name() const override { return "monitor-first-touch"; }
   unsigned actors() const override { return 2; }
   void prepare() override {
-    Mon.emplace(); // fresh word: bias is grantable again
+    Mon.emplace(); // fresh word: both actors race its first acquisition
     Counter.store(0, std::memory_order_relaxed);
   }
   void run(unsigned Index, InterleavingNudge &Nudge) override {
     for (unsigned I = 0; I < 6; ++I) {
       if (Index == 1 && I == 0)
-        Nudge.pause(); // let the peer win the grant, then revoke it
+        Nudge.pause(); // let the peer take the word first, then contend
       Synchronized Sync(*Mon);
       int64_t Old = Counter.load(std::memory_order_relaxed);
       if (Index == 0 && I % 3 == 0)
-        Nudge.pause(); // widen a biased hold across the revoker's wait
+        Nudge.pause(); // widen a hold so the peer spins or queues on it
       Counter.store(Old + 1, std::memory_order_relaxed);
     }
   }
   std::string observe() override {
     if (Counter.load() != 2 * 6)
       return "lost-update:" + std::to_string(Counter.load());
-    // Both actors touched the monitor, so exactly one revocation ran and
-    // the word must have settled into the neutral thin state.
+    // Both actors drained, so the word must be back in the free thin
+    // state.
     if (!Mon->tryEnter())
-      return "word-left-biased-or-locked";
+      return "word-left-locked";
     Mon->exit();
-    return "exclusive-and-neutral";
+    return "exclusive-and-free";
   }
   OutcomeSpec spec() const override {
     OutcomeSpec Spec;
-    Spec.accept("exclusive-and-neutral",
-                "every biased and thin critical section serialized; "
-                "revocation neutralized the word")
-        .forbid("word-left-biased-or-locked",
-                "revocation leaked the biased or locked state");
+    Spec.accept("exclusive-and-free",
+                "every critical section serialized; the word settled free")
+        .forbid("word-left-locked",
+                "the last release leaked the locked or queued state");
     return Spec;
   }
 
@@ -304,8 +303,8 @@ private:
 
 } // namespace
 
-TEST(MonitorStress, BiasRevocationNeverBreaksExclusion) {
-  BiasRevocationRaceScenario S;
+TEST(MonitorStress, FirstTouchRaceKeepsExclusion) {
+  FirstTouchRaceScenario S;
   StressRunner::Options Opts;
   Opts.Repetitions = 400;
   StressReport Report = StressRunner(Opts).run(S);

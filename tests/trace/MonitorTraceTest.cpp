@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "metrics/Metrics.h"
 #include "runtime/Monitor.h"
 #include "trace/Trace.h"
 #include "trace/TraceSession.h"
@@ -83,6 +84,10 @@ TEST(MonitorTraceTest, ContendedEnterEmitsSpanInflateAndProfileRow) {
     GTEST_SKIP() << "tracing compiled out (REN_TRACE_DISABLED)";
   Monitor M;
   const uint64_t Id = objectId(&M);
+  using ren::metrics::Metric;
+  using ren::metrics::MetricsRegistry;
+  const uint64_t ParksBefore = MetricsRegistry::get().snapshot().get(
+      Metric::Park);
   TraceSession Session;
   Session.start();
   M.enter();
@@ -90,14 +95,16 @@ TEST(MonitorTraceTest, ContendedEnterEmitsSpanInflateAndProfileRow) {
     M.enter(); // provably contended: queued behind the holder
     M.exit();
   });
-  // contendedAcquirers() counts threads inside the queued slow path; once
-  // it reads 1 the peer is committed to the contended protocol, making the
-  // MonitorContended span deterministic rather than probabilistic.
+  // contendedAcquirers() counts threads inside the contended slow path;
+  // once it reads 1 the peer is committed to the contended protocol,
+  // making the MonitorContended span deterministic rather than
+  // probabilistic.
   while (M.contendedAcquirers() < 1)
     std::this_thread::yield();
-  // Give the peer a beat to actually push its wait node so the thin->fat
-  // inflate transition fires too (spin on 1 CPU ends in a queued park).
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Hold the monitor until the peer has parked: it parks only after
+  // pushing its wait node, so the thin->fat inflate transition has fired.
+  while (MetricsRegistry::get().snapshot().get(Metric::Park) == ParksBefore)
+    std::this_thread::yield();
   M.exit();
   Blocked.join();
   Session.stop();

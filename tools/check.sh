@@ -4,7 +4,9 @@
 # The repo's CI-style check flow.
 #
 #   tools/check.sh                 # tier-1: configure, build, ctest -L tier1
-#   tools/check.sh --stress        # ... then also run ctest -L stress
+#   tools/check.sh --stress        # ... then also run ctest -L stress,
+#                                  #     then stress_monitor pinned to 1,
+#                                  #     2 and all CPUs (taskset)
 #   tools/check.sh --tsan          # ... then a -DREN_SANITIZE=thread build
 #                                  #     and the runtime/stress tests under it
 #   tools/check.sh --asan          # ... a -DREN_SANITIZE=address build and
@@ -23,7 +25,9 @@
 #                                  #     ping, parallelFor, steal-heavy),
 #                                  #     BENCH_monitor.json (uncontended
 #                                  #     enter/exit, 2/8-thread contended
-#                                  #     throughput, wait/notify ping) and
+#                                  #     throughput as ratios against
+#                                  #     same-run std::mutex twins, and
+#                                  #     wait/notify ping; ungated) and
 #                                  #     BENCH_streams.json (method-handle
 #                                  #     dispatch, fused serial pipeline,
 #                                  #     parallel scrabble-style pipeline,
@@ -105,7 +109,7 @@ while [[ $# -gt 0 ]]; do
       shift
       ;;
     -h|--help)
-      sed -n '2,20p' "$0" | sed 's/^#//'
+      sed -n '2,22p' "$0" | sed 's/^#//'
       exit 0
       ;;
     *)
@@ -130,6 +134,24 @@ ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$JOBS"
 if [[ "$RUN_STRESS" == 1 ]]; then
   step "stress: ctest -L stress"
   ctest --test-dir "$BUILD_DIR" -L stress --output-on-failure -j "$JOBS"
+
+  # CPU-count matrix: the monitor's scenarios pinned to 1 CPU, to 2 CPUs,
+  # and on every CPU this process may use. Other stress binaries join once
+  # their multi-core defects (ROADMAP) are fixed.
+  read -r -a CPUS <<<"$(python3 -c \
+    'import os; print(*sorted(os.sched_getaffinity(0)))')"
+  CPU_SETS=("${CPUS[0]}")
+  if [[ ${#CPUS[@]} -gt 1 ]]; then
+    CPU_SETS+=("${CPUS[0]},${CPUS[1]}")
+  fi
+  if [[ ${#CPUS[@]} -gt 2 ]]; then
+    CPU_SETS+=("$(IFS=,; echo "${CPUS[*]}")")
+  fi
+  for SET in "${CPU_SETS[@]}"; do
+    step "stress: stress_monitor under taskset -c $SET"
+    taskset -c "$SET" ctest --test-dir "$BUILD_DIR" -R '^stress_monitor$' \
+      --output-on-failure
+  done
 fi
 
 if [[ "$RUN_TRACE" == 1 ]]; then
@@ -223,41 +245,42 @@ for name, c in cases.items():
     print(f"  {name}: {c['ops_per_second']:.3e} ops/s{extra}")
 EOF
 
-  step "bench-smoke: monitor microbenchmarks"
+  step "bench-smoke: monitor microbenchmarks (with std::mutex twins)"
   RAW_MON="$BENCH_DIR/bench_monitor_raw.json"
   timeout 120 "$BENCH_DIR/bench/bench_micro_substrates" \
-    --benchmark_filter='BM_MonitorUncontended$|BM_MonitorContendedEnterExit|BM_MonitorWaitNotifyPing' \
+    --benchmark_filter='BM_MonitorUncontended$|BM_MonitorContendedEnterExit|BM_MonitorWaitNotifyPing|BM_StdMutexUncontended$|BM_StdMutexContendedEnterExit' \
     --benchmark_min_time=0.3 \
     --benchmark_out="$RAW_MON" --benchmark_out_format=json
 
-  step "bench-smoke: write BENCH_monitor.json"
-  python3 - "$RAW_MON" bench/BASELINE_monitor.json <<'EOF'
-import json, os, sys
+  step "bench-smoke: write BENCH_monitor.json (ungated)"
+  python3 - "$RAW_MON" <<'EOF'
+import json, sys
 raw = json.load(open(sys.argv[1]))
-base = {}
-if os.path.exists(sys.argv[2]):
-    base = json.load(open(sys.argv[2])).get("benchmarks", {})
+ops = {b["name"]: b for b in raw.get("benchmarks", [])
+       if "items_per_second" in b}
 cases = {}
-for b in raw.get("benchmarks", []):
-    ops = b.get("items_per_second")
-    if ops is None:
+for name, b in ops.items():
+    if not name.startswith("BM_Monitor"):
         continue
-    c = {"ops_per_second": ops, "real_time_ns": b.get("real_time")}
-    ref = base.get(b["name"], {}).get("ops_per_second")
-    if ref:
-        c["baseline_ops_per_second"] = ref
-        c["speedup_vs_mutex_monitor"] = round(ops / ref, 2)
-    cases[b["name"]] = c
+    c = {"ops_per_second": b["items_per_second"],
+         "real_time_ns": b.get("real_time")}
+    # Same-run twin: BM_MonitorX -> BM_StdMutexX (none for wait/notify).
+    twin = ops.get(name.replace("BM_Monitor", "BM_StdMutex", 1))
+    if twin:
+        c["std_mutex_ops_per_second"] = twin["items_per_second"]
+        c["ratio_vs_std_mutex"] = round(
+            b["items_per_second"] / twin["items_per_second"], 2)
+    cases[name] = c
 out = {"context": {"date": raw["context"].get("date"),
                    "num_cpus": raw["context"].get("num_cpus")},
-       "baseline": "bench/BASELINE_monitor.json (std::mutex/condvar monitor)",
+       "baseline": "same-run std::mutex twins (BM_StdMutex*)",
        "benchmarks": cases}
 json.dump(out, open("BENCH_monitor.json", "w"), indent=2)
 print("wrote BENCH_monitor.json:")
 for name, c in cases.items():
     extra = ""
-    if "speedup_vs_mutex_monitor" in c:
-        extra = f"  ({c['speedup_vs_mutex_monitor']}x vs mutex monitor)"
+    if "ratio_vs_std_mutex" in c:
+        extra = f"  ({c['ratio_vs_std_mutex']}x vs std::mutex)"
     print(f"  {name}: {c['ops_per_second']:.3e} ops/s{extra}")
 EOF
 
@@ -419,8 +442,6 @@ twins = {
     "BM_CrossThreadFree_Substrate/real_time":
         "BM_CrossThreadFree_Malloc/real_time",
     "BM_FragSoak_Substrate": "BM_FragSoak_Malloc",
-    "BM_RcCopyDrop_Substrate": "BM_SharedPtrCopyDrop_Malloc",
-    "BM_RcCreateDrop_Substrate": "BM_SharedPtrCreateDrop_Malloc",
 }
 cases = {}
 failures = []
@@ -440,8 +461,7 @@ for name, o in ops.items():
 out = {"context": {"date": raw["context"].get("date"),
                    "num_cpus": raw["context"].get("num_cpus")},
        "baseline": "bench/BASELINE_alloc.json (malloc twin references "
-                   "pinned from the committing host; RcCreateDrop is "
-                   "self-pinned — see the baseline's comment)",
+                   "pinned from the committing host)",
        "benchmarks": cases}
 json.dump(out, open("BENCH_alloc.json", "w"), indent=2)
 print("wrote BENCH_alloc.json:")

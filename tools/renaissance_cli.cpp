@@ -307,8 +307,7 @@ int main(int Argc, char **Argv) {
         "  slabs:           %llu in use, %llu recycled, %llu orphans "
         "adopted, %llu regions mapped\n"
         "  reclaim:         %llu passes, %.3f ms total, %.3f ms max "
-        "pause\n"
-        "  rc objects:      %llu deferred, %llu destroyed\n",
+        "pause\n",
         static_cast<unsigned long long>(D.BytesAllocated),
         static_cast<unsigned long long>(D.SmallAllocs),
         static_cast<unsigned long long>(D.LargeAllocs),
@@ -322,9 +321,7 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(D.RegionsAllocated),
         static_cast<unsigned long long>(D.ReclaimPasses),
         static_cast<double>(D.ReclaimTotalNanos) / 1e6,
-        static_cast<double>(D.ReclaimMaxNanos) / 1e6,
-        static_cast<unsigned long long>(D.RcDeferred),
-        static_cast<unsigned long long>(D.RcDestroyed));
+        static_cast<double>(D.ReclaimMaxNanos) / 1e6);
   }
   return 0;
 }
