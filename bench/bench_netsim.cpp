@@ -19,12 +19,6 @@
 //       items_per_second is sustained requests/sec, and the cell carries
 //       coordinated-omission-safe p50/p99/p999 latency (ns) as extra
 //       fields
-//   netsim/slowp99/offload=on|off/conns=C/shards=1   fixed-rate mix
-//       where 4 of C connections run a deliberately slow (blocking)
-//       handler; items_per_second is 1e9 / fast-connection p90 (bigger =
-//       better — see slowP99Cell for why p90 gates and p99 rides along),
-//       so the baseline gate enforces that offloading keeps slow
-//       handlers from head-of-line-blocking the fast traffic's tail
 //
 // Every cell embeds the host-parallelism snapshot (num_cpus /
 // threads_used / serial_host) with threads_used set to that cell's shard
@@ -53,7 +47,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace ren;
@@ -183,96 +176,6 @@ Cell footprintCell(unsigned Conns) {
   C.ExtraJson = Extra + hostExtra(1);
   for (auto &Conn : Pool)
     Conn->close();
-  return C;
-}
-
-/// The tail-isolation cell: 4 of 256 connections carry requests whose
-/// handler blocks ~500us (a sleep — blocking, not CPU burn, so on a
-/// single-CPU host offload genuinely frees the shard; a busy-spin would
-/// monopolize the core either way). Sleeps are millisecond-granular on
-/// the reference container, so the slow share is kept small enough that
-/// even 10x inflation cannot saturate the one offload worker. With
-/// handler offload the stalls park on the shard's executor and the fast
-/// connections' tail stays flat; inline they head-of-line-block the
-/// shard for ~15-30% of the run. items_per_second is 1e9 / fast *p90*:
-/// the stall signal sits well above p90 inline and vanishes with
-/// offload, while the reference container's post-flood throttling
-/// hiccups only pollute the top ~1-2% of samples — gating p90 keeps the
-/// committed baseline meaningful where a p99 gate would gate scheduler
-/// noise. The fast/slow p99s still ride along informationally.
-Cell slowP99Cell(bool Offload, uint64_t Requests) {
-  constexpr unsigned kConns = 256;
-  constexpr unsigned kSlowConns = 4;
-  // The EWMA learns a connection is slow from its first sampled frame,
-  // which runs inline even with offload enabled; the warmup prefix
-  // covering that learning phase is excluded from the percentiles.
-  constexpr uint64_t kWarmupSeqs = 512;
-  ServerOptions SrvOpts;
-  SrvOpts.Shards = 1;
-  SrvOpts.OffloadHandlers = Offload;
-  SrvOpts.OffloadThreads = 1;
-  SrvOpts.OffloadThresholdNanos = 20000;
-  Server Srv("bench-slowp99",
-             [](const Bytes &Request) {
-               if (Request.size() > 8 && Request[8] != 0)
-                 std::this_thread::sleep_for(
-                     std::chrono::microseconds(500));
-               return Request;
-             },
-             SrvOpts);
-
-  LoadGenOptions Opts;
-  Opts.Requests = Requests;
-  Opts.RatePerSec = 20000.0;
-  Opts.Connections = kConns;
-  Opts.MaxInFlight = 1024;
-  Opts.KeepSamples = true; // per-request samples split fast from slow
-  Opts.MakeRequest = [](uint64_t Seq) {
-    Bytes Req(32, 0);
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      Req[static_cast<size_t>(Shift / 8)] =
-          static_cast<uint8_t>(Seq >> Shift);
-    // Round-robin routing sends Seq to connection Seq % kConns: the
-    // first kSlowConns connections carry all the slow requests.
-    Req[8] = (Seq % kConns) < kSlowConns ? 1 : 0;
-    return Req;
-  };
-  LoadReport R = LoadGen(Srv, Opts).run();
-
-  // Fast-connection percentiles from the steady-state per-request
-  // samples (sample order is send order, so Seq % kConns recovers the
-  // routing).
-  std::vector<uint64_t> Fast, Slow;
-  for (size_t Seq = kWarmupSeqs; Seq < R.Samples.size(); ++Seq)
-    ((Seq % kConns) < kSlowConns ? Slow : Fast)
-        .push_back(R.Samples[Seq].intendedLatency());
-  auto Pct = [](std::vector<uint64_t> &V, unsigned Hundredths) -> uint64_t {
-    if (V.empty())
-      return 0;
-    size_t Rank = (V.size() * Hundredths) / 100;
-    Rank = std::min(Rank, V.size() - 1);
-    std::nth_element(V.begin(), V.begin() + static_cast<ptrdiff_t>(Rank),
-                     V.end());
-    return V[Rank];
-  };
-  uint64_t FastP90 = Pct(Fast, 90), FastP99 = Pct(Fast, 99);
-  uint64_t SlowP99 = Pct(Slow, 99);
-
-  Cell C;
-  C.Name = std::string("netsim/slowp99/offload=") +
-           (Offload ? "on" : "off") + "/conns=256/shards=1";
-  C.OpsPerSecond = FastP90 ? 1e9 / static_cast<double>(FastP90) : 0.0;
-  C.RealTimeNs = static_cast<double>(R.ElapsedNanos);
-  char Extra[256];
-  std::snprintf(Extra, sizeof(Extra),
-                ", \"fast_p90_ns\": %llu, \"fast_p99_ns\": %llu, "
-                "\"slow_p99_ns\": %llu, \"p99_ns\": %llu, "
-                "\"sustained_rps\": %.6g",
-                static_cast<unsigned long long>(FastP90),
-                static_cast<unsigned long long>(FastP99),
-                static_cast<unsigned long long>(SlowP99),
-                static_cast<unsigned long long>(R.P99), R.sustainedRps());
-  C.ExtraJson = Extra + hostExtra(1);
   return C;
 }
 
@@ -416,10 +319,6 @@ int main(int Argc, char **Argv) {
   }
   Cells.push_back(latencyCell(/*Rate=*/20000.0, /*Conns=*/256,
                               /*Shards=*/2,
-                              /*Requests=*/Quick ? 2000 : 10000));
-  Cells.push_back(slowP99Cell(/*Offload=*/false,
-                              /*Requests=*/Quick ? 2000 : 10000));
-  Cells.push_back(slowP99Cell(/*Offload=*/true,
                               /*Requests=*/Quick ? 2000 : 10000));
 
   std::FILE *Out = stdout;

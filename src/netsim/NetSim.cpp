@@ -2,7 +2,6 @@
 
 #include "netsim/NetSim.h"
 
-#include "netsim/Reactor.h"
 #include "runtime/Alloc.h"
 
 #include <cassert>
@@ -120,19 +119,8 @@ Server::Server(std::string Name, Handler Handle, unsigned Shards)
              ServerOptions{Shards, false, 0x5eedc0de}) {}
 
 Server::Server(std::string ServiceName, Handler Handle, ServerOptions Opts)
-    : Name(std::move(ServiceName)) {
-  assert(Opts.Shards > 0 && "server needs at least one shard");
-  ReactorOptions ROpts;
-  ROpts.Shards = Opts.Shards;
-  ROpts.Deterministic = Opts.Deterministic;
-  ROpts.Seed = Opts.Seed;
-  ROpts.DrainBudget = Opts.DrainBudget;
-  ROpts.OffloadHandlers = Opts.OffloadHandlers;
-  ROpts.OffloadThreads = Opts.OffloadThreads;
-  ROpts.OffloadThresholdNanos = Opts.OffloadThresholdNanos;
-  ROpts.IdleTimeoutNanos = Opts.IdleTimeoutNanos;
-  Core = std::make_unique<Reactor>(std::move(Handle), ROpts);
-}
+    : Name(std::move(ServiceName)),
+      Core(std::make_unique<Reactor>(std::move(Handle), Opts)) {}
 
 Server::~Server() = default;
 

@@ -18,9 +18,10 @@
 /// tens of thousands the Finagle workloads assume.
 ///
 /// Server/ClientConnection keep the original public surface; ServerOptions
-/// additionally exposes the shard count and the single-threaded
-/// deterministic-simulation mode (seeded event ordering, virtual time)
-/// that the differential test layer drives.
+/// (the reactor's own ReactorOptions) additionally exposes the shard
+/// count, idle culling and the single-threaded deterministic-simulation
+/// mode (seeded event ordering, virtual time) that the differential test
+/// layer drives.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 #define REN_NETSIM_NETSIM_H
 
 #include "futures/Future.h"
+#include "netsim/Reactor.h"
 #include "runtime/Monitor.h"
 
 #include <cstddef>
@@ -40,9 +42,6 @@
 
 namespace ren {
 namespace netsim {
-
-/// A wire frame.
-using Bytes = std::vector<uint8_t>;
 
 /// Little-endian serialization cursor over a byte frame.
 class ByteBuffer {
@@ -96,40 +95,8 @@ private:
   bool Closed = false;
 };
 
-/// Handles one request frame and produces a response frame.
-using Handler = std::function<Bytes(const Bytes &)>;
-
-class Connection;
-class Reactor;
-class Server;
-
-/// Server construction parameters.
-struct ServerOptions {
-  /// Reactor event-loop shards (each one thread in real mode).
-  unsigned Shards = 1;
-  /// Deterministic-simulation mode: no threads; the caller drives the
-  /// reactor with Server::pump / Server::runUntilIdle on a single thread
-  /// under seeded event ordering and virtual time.
-  bool Deterministic = false;
-  /// Seed for the simulation's event-ordering RNG.
-  uint64_t Seed = 0x5eedc0de;
-  /// Frames a shard drains from one connection per round before the
-  /// connection is requeued behind the round's other ready connections.
-  unsigned DrainBudget = 32;
-  /// Route slow handlers through the per-shard executor seam so they do
-  /// not head-of-line-block their shard (real mode; deterministic mode
-  /// always runs handlers inline for byte-identical simulation).
-  bool OffloadHandlers = true;
-  /// Executor threads per shard when offload is enabled.
-  unsigned OffloadThreads = 1;
-  /// A connection whose handler-latency EWMA exceeds this (ns) has its
-  /// requests offloaded instead of run inline.
-  uint64_t OffloadThresholdNanos = 20000;
-  /// Cull connections idle longer than this many nanoseconds (0 =
-  /// never). Culled connections fail fast on call() and their memory is
-  /// reclaimed once the client drops its handle.
-  uint64_t IdleTimeoutNanos = 0;
-};
+/// Server construction parameters: the reactor's options, used directly.
+using ServerOptions = ReactorOptions;
 
 /// A client connection handle: request/response with future-based
 /// dispatch. Thin owner of a reactor Connection.
@@ -164,7 +131,10 @@ private:
   std::shared_ptr<Connection> Conn;
 };
 
-/// A server endpoint: a sharded reactor running \p Handler.
+/// A server endpoint: a sharded reactor running \p Handler (see
+/// Reactor.h). Every handler call runs inline on its connection's shard
+/// thread: calls on one shard run one at a time, calls on different
+/// shards run concurrently.
 class Server {
 public:
   /// Starts a reactor with \p Shards event-loop shards for service

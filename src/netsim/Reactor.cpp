@@ -13,45 +13,14 @@ using namespace ren::netsim;
 
 namespace {
 
-/// A pending request deadline: heap-owned because the request may outlive
-/// its frame (offloaded, or queued in sim). The timer holds a promise
-/// copy and fires tryFailure unconditionally — lazy cancellation: a
-/// completed request makes the failure a no-op, so nobody ever needs to
-/// cancel across threads. Freed when fired or at reactor teardown.
+/// A pending sim-mode request deadline: heap-owned because the request may
+/// outlive its frame while queued. The timer holds a promise copy and
+/// fires tryFailure unconditionally — lazy cancellation: a completed
+/// request makes the failure a no-op, so nobody ever needs to cancel.
+/// Freed when fired or at reactor teardown.
 struct DeadlineTimer {
   TimerNode Node;
   futures::Promise<Bytes> Reply;
-};
-
-/// Move-only owner of an offloaded frame while it sits in the executor.
-/// ForkJoinPool's destructor releases never-run tasks without executing
-/// them; without this guard their promises would hang forever instead of
-/// failing. (futures::Promise does not fail on abandonment by design.)
-class OffloadGuard {
-public:
-  explicit OffloadGuard(FrameNode *F) : Frame(F) {}
-  OffloadGuard(OffloadGuard &&O) noexcept : Frame(O.Frame) {
-    O.Frame = nullptr;
-  }
-  OffloadGuard(const OffloadGuard &) = delete;
-  OffloadGuard &operator=(const OffloadGuard &) = delete;
-  OffloadGuard &operator=(OffloadGuard &&) = delete;
-
-  ~OffloadGuard() {
-    if (Frame) {
-      Frame->Reply.tryFailure("server destroyed");
-      runtime::heap::destroy(Frame);
-    }
-  }
-
-  FrameNode *release() {
-    FrameNode *F = Frame;
-    Frame = nullptr;
-    return F;
-  }
-
-private:
-  FrameNode *Frame;
 };
 
 } // namespace
@@ -204,8 +173,8 @@ futures::Future<Bytes> Connection::call(Bytes Request,
                                                 Frame->DeadlineNanos);
     } else {
       // Real mode: the producer cannot touch the shard-private wheel;
-      // the shard enforces the stamp at dequeue (and arms a wheel timer
-      // for offloaded frames, where expiry must fire asynchronously).
+      // the shard enforces the stamp at dequeue and again after the
+      // handler ran.
       Frame->DeadlineNanos = wallNanos() + DeadlineAfterNanos;
     }
   }
@@ -240,8 +209,6 @@ void Connection::close() {
 Reactor::Reactor(Handler HandleFn, ReactorOptions Options)
     : Handle(std::move(HandleFn)), Opts(Options), SimRng(Options.Seed) {
   assert(Opts.Shards > 0 && "reactor needs at least one shard");
-  if (Opts.DrainBudget == 0)
-    Opts.DrainBudget = 1;
   const uint64_t Anchor = Opts.Deterministic ? 0 : wallNanos();
   Shards.reserve(Opts.Shards);
   for (unsigned I = 0; I < Opts.Shards; ++I) {
@@ -252,9 +219,6 @@ Reactor::Reactor(Handler HandleFn, ReactorOptions Options)
       S->Events = std::make_unique<ThreadPoller>();
     S->Wheel = std::make_unique<TimerWheel>(Anchor);
     S->NowNanos = Anchor;
-    if (!Opts.Deterministic && Opts.OffloadHandlers)
-      S->Exec = std::make_unique<forkjoin::ForkJoinPool>(
-          Opts.OffloadThreads ? Opts.OffloadThreads : 1);
     Shards.push_back(std::move(S));
   }
   if (!Opts.Deterministic)
@@ -268,11 +232,6 @@ Reactor::~Reactor() {
   for (auto &S : Shards)
     if (S->Loop.joinable())
       S->Loop.join();
-  // Executors next: joining them completes (or, for never-run tasks, the
-  // OffloadGuard fails) every offloaded frame before connection memory
-  // can go away below.
-  for (auto &S : Shards)
-    S->Exec.reset();
   // Drain the wheels: deadline timers own heap nodes and promise copies.
   for (auto &S : Shards) {
     std::vector<TimerNode *> Left;
@@ -380,20 +339,13 @@ void Reactor::shardLoop(Shard &S) {
 }
 
 bool Reactor::drainBudgeted(Shard &S, Connection &C) {
-  unsigned Budget = Opts.DrainBudget;
+  unsigned Budget = kDrainBudget;
   for (;;) {
     while (Budget > 0) {
       auto *Frame = static_cast<FrameNode *>(C.Inbound.pop());
       if (!Frame)
         break;
       --Budget;
-      if (shouldOffload(S, C, Frame)) {
-        dispatchOffload(S, C, Frame);
-        // Parked: the connection stays armed and off every queue until
-        // the executor's completion re-notifies the poller, which keeps
-        // per-connection FIFO with exactly one offloaded frame in flight.
-        return false;
-      }
       processFrame(S, C, Frame);
     }
     if (Budget == 0 && C.Inbound.consumerMaybeNonEmpty())
@@ -483,14 +435,9 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   // would on write: id -> promise.
   C.Pending.emplace(Id, Frame->Reply);
 
-  // Dispatch the handler, sampling its latency into the offload EWMA
-  // when an executor exists to act on it.
+  // Dispatch the handler inline on the shard thread.
   C.State = Connection::RxState::Dispatching;
-  const bool Measure = S.Exec && (C.FramesHandled & 7) == 0;
-  uint64_t Started = Measure ? wallNanos() : 0;
   Bytes Response = Handle(Payload);
-  if (Measure)
-    foldEwma(C, wallNanos() - Started);
 
   // Encode the response envelope (id + body) — the bytes a server would
   // put back on the wire.
@@ -513,6 +460,11 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   futures::Promise<Bytes> P = It->second;
   C.Pending.erase(It);
   Bytes Body(ReplyWire.begin() + 8, ReplyWire.end());
+  // Count the frame before completing its future, so a caller holding
+  // every response reads an exact requestsHandled().
+  C.State = Connection::RxState::Idle;
+  ++C.FramesHandled;
+  S.Handled.fetch_add(1, std::memory_order_relaxed);
   // A response completed past its deadline is a failure, not a late
   // success (real mode; in sim the pre-check and wheel govern expiry).
   if (Frame->DeadlineNanos != 0 && !Opts.Deterministic &&
@@ -521,90 +473,8 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   else
     P.trySuccess(std::move(Body));
 
-  C.State = Connection::RxState::Idle;
-  ++C.FramesHandled;
-  S.Handled.fetch_add(1, std::memory_order_relaxed);
-
   if (Opts.Deterministic)
     SimNanos += kSimFrameNanos + kSimByteNanos * Frame->Wire.size();
-}
-
-//===----------------------------------------------------------------------===//
-// Handler offload (real mode)
-//===----------------------------------------------------------------------===//
-
-bool Reactor::shouldOffload(const Shard &S, const Connection &C,
-                            const FrameNode *Frame) const {
-  return S.Exec && Frame->FrameKind == FrameNode::Kind::Request &&
-         !C.PeerClosed && !C.Culled &&
-         C.EwmaNanos.load(std::memory_order_relaxed) >
-             Opts.OffloadThresholdNanos;
-}
-
-void Reactor::dispatchOffload(Shard &S, Connection &C, FrameNode *Frame) {
-  if (Opts.IdleTimeoutNanos > 0)
-    C.LastActivityNanos = S.NowNanos;
-  if (Frame->DeadlineNanos != 0) {
-    // The shard owns the wheel, so the deadline must be armed here, not
-    // on the executor thread. Lazy cancellation (see DeadlineTimer).
-    auto *D = runtime::heap::create<DeadlineTimer>();
-    D->Node.What = TimerNode::Kind::RequestDeadline;
-    D->Node.Payload = D;
-    D->Reply = Frame->Reply;
-    S.Wheel->schedule(&D->Node, Frame->DeadlineNanos);
-  }
-  S.Exec->forkDetached(
-      [this, &S, &C, G = OffloadGuard(Frame)]() mutable {
-        if (FrameNode *F = G.release())
-          runOffloaded(S, C, F);
-      });
-}
-
-void Reactor::runOffloaded(Shard &S, Connection &C, FrameNode *Frame) {
-  runtime::Ref<FrameNode> Owned(Frame);
-
-  assert(Frame->Wire.size() >= 8 && "malformed wire frame");
-  uint64_t Id = 0;
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Id |= static_cast<uint64_t>(Frame->Wire[Shift / 8]) << Shift;
-  Bytes Payload(Frame->Wire.begin() + 8, Frame->Wire.end());
-
-  // The demux table is shard-private, so offloaded frames bypass it: the
-  // promise travels in the frame and completes from this thread.
-  uint64_t Started = wallNanos();
-  Bytes Response = Handle(Payload);
-  uint64_t Finished = wallNanos();
-  foldEwma(C, Finished - Started);
-
-  Bytes ReplyWire;
-  ReplyWire.reserve(Response.size() + 8);
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    ReplyWire.push_back(static_cast<uint8_t>(Id >> Shift));
-  ReplyWire.insert(ReplyWire.end(), Response.begin(), Response.end());
-  runtime::noteObjectAlloc(); // the reply envelope
-  Bytes Body(ReplyWire.begin() + 8, ReplyWire.end());
-
-  if (Frame->DeadlineNanos != 0 && Finished >= Frame->DeadlineNanos)
-    Frame->Reply.tryFailure("request deadline exceeded");
-  else
-    Frame->Reply.trySuccess(std::move(Body));
-
-  // FramesHandled is shard-private by convention; this write is ordered
-  // against the shard's next access by the notify below (queue push /
-  // poll pop is a release/acquire edge), and the shard cannot touch the
-  // connection before that edge — it is parked on this very completion.
-  ++C.FramesHandled;
-  S.Handled.fetch_add(1, std::memory_order_relaxed);
-
-  // Resume the parked connection: it stayed armed, so producers did not
-  // re-notify; this is the exactly-once wakeup.
-  S.Events->notify(&C.Node);
-}
-
-void Reactor::foldEwma(Connection &C, uint64_t SampleNanos) {
-  uint64_t Prev = C.EwmaNanos.load(std::memory_order_relaxed);
-  uint64_t Next = Prev == 0 ? SampleNanos : (7 * Prev + SampleNanos) / 8;
-  C.EwmaNanos.store(Next, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -684,9 +554,8 @@ void Reactor::sweepGraveyard(Shard &S) {
     Connection &C = *S.Graveyard[I];
     // Free only when unreachable: ours is the last reference (no client
     // handle, so no new producer can appear) and the connection is
-    // disarmed (not in the poller, not requeued, not parked on an
-    // offload, and — because producers arm before notifying — no notify
-    // is in flight either).
+    // disarmed (not in the poller, not requeued, and — because producers
+    // arm before notifying — no notify is in flight either).
     if (S.Graveyard[I].use_count() == 1 &&
         !C.Armed.load(std::memory_order_acquire)) {
       while (auto *F = static_cast<FrameNode *>(C.Inbound.pop())) {

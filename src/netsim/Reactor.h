@@ -25,26 +25,16 @@
 /// that races the disarm is either seen by the re-check or re-arms and
 /// re-notifies — never stranded.
 ///
-/// Three mechanisms carry the reactor from the 10^4-connection regime
+/// Two mechanisms carry the reactor from the 10^4-connection regime
 /// toward 10^5-10^6:
 ///
 ///  - *Budgeted batch draining*: a shard drains at most
-///    ReactorOptions::DrainBudget frames per connection per round, then
+///    Reactor::kDrainBudget frames per connection per round, then
 ///    requeues the connection behind the rest of the round's batch — one
 ///    chatty connection cannot starve the other 10^5 on its shard. A
 ///    requeued connection stays armed, so the seq_cst disarm/re-check
 ///    fence pair is paid once per *drained* connection, not once per
-///    budget slice.
-///
-///  - *Handler offload*: each shard owns a small ForkJoinPool executor
-///    seam. Handlers stay inline while cheap; when a connection's
-///    per-connection latency EWMA crosses OffloadThresholdNanos, its
-///    requests are dispatched to the executor and the connection is
-///    parked (stays armed, not requeued) until the completion re-notifies
-///    the poller — a slow tenant head-of-line-blocks only itself, never
-///    its shard. FIFO per connection is preserved because at most one
-///    offloaded frame is in flight and the queue is not touched behind
-///    it. Offload is a no-op in deterministic mode (byte-identical sim).
+///    budget slice. Every frame runs inline on its shard thread.
 ///
 ///  - *Timer-wheel timeouts and culling*: each shard owns a hashed
 ///    hierarchical TimerWheel (O(1) schedule/cancel) advanced every poll
@@ -71,7 +61,6 @@
 #ifndef REN_NETSIM_REACTOR_H
 #define REN_NETSIM_REACTOR_H
 
-#include "forkjoin/ForkJoinPool.h"
 #include "forkjoin/MpscQueue.h"
 #include "futures/Future.h"
 #include "netsim/Poller.h"
@@ -91,13 +80,12 @@
 namespace ren {
 namespace netsim {
 
-/// A wire frame (defined here as well as NetSim.h so the two headers do
-/// not depend on each other's larger halves).
+/// A wire frame.
 using Bytes = std::vector<uint8_t>;
 
-/// Handles one request payload and produces a response payload. With
-/// handler offload enabled (the real-mode default), a handler may run on
-/// an executor thread concurrently with other connections' handlers —
+/// Handles one request payload and produces a response payload. Handler
+/// calls run inline on the connection's shard thread: calls on one shard
+/// run one at a time, calls on different shards run concurrently — so
 /// handlers that mutate shared state must synchronize, exactly as Finagle
 /// service functions must.
 using Handler = std::function<Bytes(const Bytes &)>;
@@ -190,10 +178,6 @@ private:
   /// Cleared by the shard when the idle cull closes the server side.
   std::atomic<bool> ServerOpen{true};
   std::atomic<uint64_t> NextRequestId{1};
-  /// EWMA of recent handler latencies (ns). Updated with relaxed atomics
-  /// from the shard (inline runs) and executor threads (offloaded runs);
-  /// the offload policy reads it per dequeue.
-  std::atomic<uint64_t> EwmaNanos{0};
 
   // --- shard-private state machine below this line ---
   enum class RxState : uint8_t { Idle, Dispatching, Responding };
@@ -212,32 +196,21 @@ private:
   uint64_t LastActivityNanos = 0;
   /// The response demux table: request id -> promise, registered when
   /// the shard reads the request header, erased when the response
-  /// envelope comes back from the handler. Offloaded frames bypass it
-  /// (their promise travels in the executor task).
+  /// envelope comes back from the handler.
   std::unordered_map<uint64_t, futures::Promise<Bytes>> Pending;
   uint64_t FramesHandled = 0;
 };
 
-/// Reactor construction parameters.
+/// Reactor (and netsim::Server) construction parameters.
 struct ReactorOptions {
-  /// Event-loop shards; connections are assigned round-robin.
+  /// Event-loop shards, each one thread in real mode; connections are
+  /// assigned round-robin.
   unsigned Shards = 1;
-  /// No threads: SimPollers plus an explicit pump with seeded event
-  /// ordering and virtual time.
+  /// No threads: SimPollers plus an explicit pump (Reactor::pump,
+  /// Server::pump) with seeded event ordering and virtual time.
   bool Deterministic = false;
   /// Seed for the deterministic pump's event ordering.
   uint64_t Seed = 0x5eedc0de;
-  /// Frames drained per connection per shard round before the connection
-  /// is requeued behind the round's other work.
-  unsigned DrainBudget = 32;
-  /// Route slow handlers through the per-shard executor (real mode only;
-  /// deterministic mode always runs inline).
-  bool OffloadHandlers = true;
-  /// Executor threads per shard when offload is enabled.
-  unsigned OffloadThreads = 1;
-  /// A connection whose handler-latency EWMA exceeds this offloads its
-  /// requests instead of running them inline on the shard.
-  uint64_t OffloadThresholdNanos = 20000;
   /// Cull connections idle longer than this (0 = never). Idle-culled
   /// connections fail fast on call() and their memory is reclaimed once
   /// the client drops its handle.
@@ -295,14 +268,16 @@ public:
   static constexpr uint64_t kSimFrameNanos = 1000;
   static constexpr uint64_t kSimByteNanos = 2;
 
+  /// Frames a shard drains from one connection per round before the
+  /// connection is requeued behind the round's other ready connections.
+  static constexpr unsigned kDrainBudget = 32;
+
 private:
   friend class Connection;
 
   struct Shard {
     std::unique_ptr<Poller> Events;
     std::unique_ptr<TimerWheel> Wheel;
-    /// Executor seam for slow handlers (real mode, OffloadHandlers).
-    std::unique_ptr<forkjoin::ForkJoinPool> Exec;
     std::thread Loop; ///< real mode only
     std::atomic<uint64_t> Handled{0};
     /// Shard clock, refreshed once per round (wall in real mode, the
@@ -324,28 +299,16 @@ private:
 
   void shardLoop(Shard &S);
 
-  /// Drains up to DrainBudget frames from \p C with the disarm/re-check
+  /// Drains up to kDrainBudget frames from \p C with the disarm/re-check
   /// protocol. \returns true when the connection must be requeued on the
   /// shard's run queue (budget exhausted with frames left, still armed);
-  /// false when fully drained (disarmed) or parked on an offload.
+  /// false when fully drained (disarmed).
   bool drainBudgeted(Shard &S, Connection &C);
 
   /// Processes one frame on \p C's state machine: decode, register the
   /// demux entry, dispatch the handler, encode, demux onto the future.
   /// Takes ownership of \p Frame.
   void processFrame(Shard &S, Connection &C, FrameNode *Frame);
-
-  /// True when \p Frame should run on the shard's executor instead of
-  /// inline (request frames on slow-EWMA connections, real mode only).
-  bool shouldOffload(const Shard &S, const Connection &C,
-                     const FrameNode *Frame) const;
-
-  /// Hands \p Frame to the shard executor and parks \p C (stays armed;
-  /// the completion re-notifies the poller). Takes ownership of \p Frame.
-  void dispatchOffload(Shard &S, Connection &C, FrameNode *Frame);
-
-  /// Executor-side continuation of dispatchOffload.
-  void runOffloaded(Shard &S, Connection &C, FrameNode *Frame);
 
   /// Dispatches one expired timer (idle cull or request deadline).
   void fireTimer(Shard &S, TimerNode *T);
@@ -362,9 +325,6 @@ private:
 
   /// Releases graveyard connections nobody can reach anymore.
   void sweepGraveyard(Shard &S);
-
-  /// Folds \p SampleNanos into \p C's handler-latency EWMA.
-  static void foldEwma(Connection &C, uint64_t SampleNanos);
 
   /// Sim mode: refill SimReady from the shards' SimPollers.
   void gatherSimReady();

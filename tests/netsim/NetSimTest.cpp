@@ -102,6 +102,41 @@ TEST(ServerTest, PipelinedRequestsAllAnswered) {
   Conn->close();
 }
 
+TEST(ServerTest, OneShardRunsOneHandlerAtATime) {
+  // Every frame runs inline on its shard thread, so however many
+  // connections share a shard, their handler calls never overlap. A slow
+  // handler keeps each call open long enough for an overlap to show.
+  std::atomic<int> Active{0};
+  std::atomic<int> Peak{0};
+  Server Srv("serial",
+             [&](const Bytes &Request) {
+               int Now = Active.fetch_add(1) + 1;
+               int Seen = Peak.load();
+               while (Now > Seen && !Peak.compare_exchange_weak(Seen, Now)) {
+               }
+               std::this_thread::sleep_for(std::chrono::microseconds(100));
+               Active.fetch_sub(1);
+               return echoHandler(Request);
+             },
+             1);
+  constexpr int Conns = 4;
+  constexpr int PerConn = 20;
+  std::vector<std::unique_ptr<ClientConnection>> Clients;
+  std::vector<ren::futures::Future<Bytes>> Responses;
+  for (int C = 0; C < Conns; ++C)
+    Clients.push_back(Srv.connect());
+  for (int I = 0; I < PerConn; ++I)
+    for (auto &Conn : Clients)
+      Responses.push_back(Conn->call(toBytes(std::to_string(I))));
+  for (size_t R = 0; R < Responses.size(); ++R)
+    EXPECT_EQ(toString(Responses[R].get()),
+              "echo:" + std::to_string(R / Conns));
+  for (auto &Conn : Clients)
+    Conn->close();
+  EXPECT_EQ(Peak.load(), 1);
+  EXPECT_EQ(Srv.requestsHandled(), static_cast<uint64_t>(Conns * PerConn));
+}
+
 TEST(ServerTest, MultipleConnectionsAreIndependent) {
   Server Srv("echo", echoHandler, 2);
   auto A = Srv.connect();

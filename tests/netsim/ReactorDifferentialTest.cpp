@@ -204,14 +204,13 @@ TEST(ReactorDifferentialTest, RandomizedSizesStressTheEnvelopeCodec) {
   runDifferential("chirper", 0x5A5A, /*Conns=*/12, /*PerConn=*/10, 4);
 }
 
-TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithExecutorsEnabled) {
-  // The executor seam and the timer wheel must be invisible to the
-  // differential contract: a handler that stalls (real mode only — the
-  // stall changes timing, never bytes) pushes its connections over the
-  // offload threshold, so some frames run inline on shard threads and
-  // some on the per-shard executor, with idle-cull timers armed
-  // throughout. Responses must still match the simulation byte-for-byte
-  // in per-connection order.
+TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithTimersArmed) {
+  // Stalls and the timer wheel must be invisible to the differential
+  // contract: a handler that stalls (real mode only — the stall changes
+  // timing, never bytes) holds up its shard while the other connections'
+  // frames queue behind it, with idle-cull timers armed throughout.
+  // Responses must still match the simulation byte-for-byte in
+  // per-connection order.
   for (uint64_t Seed : {21ull, 0xfadedULL}) {
     SCOPED_TRACE("slow-mix seed=" + std::to_string(Seed));
     Script S = makeEchoScript(Seed, /*Conns=*/6, /*PerConn=*/24);
@@ -238,9 +237,6 @@ TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithExecutorsEnabled) {
     {
       ServerOptions Opts;
       Opts.Shards = 2;
-      Opts.OffloadHandlers = true;
-      Opts.OffloadThreads = 2;
-      Opts.OffloadThresholdNanos = 50'000; // the stall crosses this
       Opts.IdleTimeoutNanos = 500'000'000;
       Server Srv("real", MakeHandler(true), Opts);
       Real = execute(Srv, S);
@@ -250,11 +246,11 @@ TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithExecutorsEnabled) {
     for (unsigned C = 0; C < Sim.size(); ++C) {
       ASSERT_EQ(Sim[C].size(), S.PerConn[C].size());
       ASSERT_EQ(Real[C].size(), S.PerConn[C].size())
-          << "offloaded frames dropped or duplicated on connection " << C;
+          << "stalled frames dropped or duplicated on connection " << C;
       for (size_t R = 0; R < Sim[C].size(); ++R)
         ASSERT_EQ(Sim[C][R], Real[C][R])
             << "connection " << C << " response " << R
-            << " diverged once the executor seam engaged";
+            << " diverged behind a stalled handler";
     }
   }
 }

@@ -242,10 +242,9 @@ private:
 /// streams short-deadline requests while actor 1 head-of-line-blocks the
 /// same connection with plain traffic through a deliberately slow
 /// handler. Every future must resolve exactly once — success with the
-/// right payload, or "request deadline exceeded" from whichever expiry
-/// path won (queue pre-check, post-run check, or the wheel timer armed
-/// for offloaded frames; the slow handler pushes the connection over the
-/// offload threshold mid-scenario, so both paths run).
+/// right payload, or "request deadline exceeded" from whichever of the
+/// two real-mode expiry paths won (the check at dequeue, or the check
+/// after the handler ran).
 class TimeoutRacesInFlightResponseScenario : public StressScenario {
   static constexpr unsigned kDeadlined = 4;
   static constexpr unsigned kPlain = 6;

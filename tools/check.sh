@@ -4,9 +4,9 @@
 # The repo's CI-style check flow.
 #
 #   tools/check.sh                 # tier-1: configure, build, ctest -L tier1
-#   tools/check.sh --stress        # ... then also run ctest -L stress,
-#                                  #     then stress_monitor pinned to 1,
-#                                  #     2 and all CPUs (taskset)
+#   tools/check.sh --stress        # ... then also run ctest -L stress
+#                                  #     pinned to 1, 2 and all CPUs
+#                                  #     (taskset), one pass per CPU set
 #   tools/check.sh --tsan          # ... then a -DREN_SANITIZE=thread build
 #                                  #     and the runtime/stress tests under it
 #   tools/check.sh --asan          # ... a -DREN_SANITIZE=address build and
@@ -39,10 +39,8 @@
 #                                  #     connection-scaling matrix, conns x
 #                                  #     shards up to 100000 connections,
 #                                  #     an RSS-per-connection footprint
-#                                  #     cell, a fixed-rate latency cell
-#                                  #     with p50/p99/p999, and the
-#                                  #     slow-handler p99 pair gating the
-#                                  #     executor offload win; any cell
+#                                  #     cell and a fixed-rate latency
+#                                  #     cell with p50/p99/p999; any cell
 #                                  #     >20% below
 #                                  #     bench/BASELINE_netsim.json fails;
 #                                  #     the 10^6-connection tier needs
@@ -132,12 +130,8 @@ step "tier-1: ctest -L tier1"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$JOBS"
 
 if [[ "$RUN_STRESS" == 1 ]]; then
-  step "stress: ctest -L stress"
-  ctest --test-dir "$BUILD_DIR" -L stress --output-on-failure -j "$JOBS"
-
-  # CPU-count matrix: the monitor's scenarios pinned to 1 CPU, to 2 CPUs,
-  # and on every CPU this process may use. Other stress binaries join once
-  # their multi-core defects (ROADMAP) are fixed.
+  # CPU-count matrix: every stress scenario pinned to 1 CPU, to 2 CPUs,
+  # and on every CPU this process may use.
   read -r -a CPUS <<<"$(python3 -c \
     'import os; print(*sorted(os.sched_getaffinity(0)))')"
   CPU_SETS=("${CPUS[0]}")
@@ -148,9 +142,9 @@ if [[ "$RUN_STRESS" == 1 ]]; then
     CPU_SETS+=("$(IFS=,; echo "${CPUS[*]}")")
   fi
   for SET in "${CPU_SETS[@]}"; do
-    step "stress: stress_monitor under taskset -c $SET"
-    taskset -c "$SET" ctest --test-dir "$BUILD_DIR" -R '^stress_monitor$' \
-      --output-on-failure
+    step "stress: ctest -L stress under taskset -c $SET"
+    taskset -c "$SET" ctest --test-dir "$BUILD_DIR" -L stress \
+      --output-on-failure -j "$JOBS"
   done
 fi
 
@@ -377,11 +371,10 @@ for b in raw.get("benchmarks", []):
     ops = b["items_per_second"]
     c = {"ops_per_second": ops, "real_time_ns": b.get("real_time")}
     # The latency cells carry coordinated-omission-safe percentiles, the
-    # slowp99 cells the fast/slow split, the footprint cell RSS, and every
-    # cell the host shape (single-core containers are self-describing).
+    # footprint cell RSS, and every cell the host shape (single-core
+    # containers are self-describing).
     for k in ("p50_ns", "p99_ns", "p999_ns", "max_send_delay_ns",
-              "fast_p90_ns", "fast_p99_ns", "slow_p99_ns", "sustained_rps",
-              "rss_total_bytes", "rss_per_conn_bytes",
+              "sustained_rps", "rss_total_bytes", "rss_per_conn_bytes",
               "num_cpus", "threads_used", "serial_host"):
         if k in b:
             c[k] = b[k]
