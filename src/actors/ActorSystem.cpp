@@ -34,8 +34,10 @@ void ActorSystem::noteProcessed() {
 
 void ActorSystem::awaitQuiescence() {
   runtime::Synchronized Sync(QuiescenceMonitor);
-  // Re-check with a short timeout: the count is decremented outside the
-  // monitor, so a notification can slip in between the check and the wait.
+  // Exact wait: the count is decremented outside the monitor, but the
+  // decrement to 0 is followed by notifyAll under this monitor, which we
+  // hold from the check until wait() releases it, so the notify cannot
+  // fall between the check and the wait.
   while (PendingMessages.load(std::memory_order_acquire) != 0)
-    QuiescenceMonitor.waitFor(/*Millis=*/1);
+    QuiescenceMonitor.wait();
 }

@@ -92,8 +92,8 @@ public:
     if (B - Tp > static_cast<int64_t>(R->Capacity) - 1)
       R = grow(R, Tp, B);
     R->put(B, Item);
-    std::atomic_thread_fence(std::memory_order_release);
-    Bottom.store(B + 1, std::memory_order_relaxed);
+    // Publishes the slot to a thief's acquire load of Bottom.
+    Bottom.store(B + 1, std::memory_order_release);
   }
 
   /// Owner-only: pops the most recently pushed item (LIFO), or nullptr if

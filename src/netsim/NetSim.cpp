@@ -106,8 +106,6 @@ futures::Future<Bytes> ClientConnection::call(Bytes Request,
   return Conn->call(std::move(Request), DeadlineAfterNanos);
 }
 
-bool ClientConnection::isServerOpen() const { return Conn->isServerOpen(); }
-
 void ClientConnection::close() { Conn->close(); }
 
 //===----------------------------------------------------------------------===//

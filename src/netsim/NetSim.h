@@ -19,9 +19,8 @@
 ///
 /// Server/ClientConnection keep the original public surface; ServerOptions
 /// (the reactor's own ReactorOptions) additionally exposes the shard
-/// count, idle culling and the single-threaded deterministic-simulation
-/// mode (seeded event ordering, virtual time) that the differential test
-/// layer drives.
+/// count and the single-threaded deterministic-simulation mode (seeded
+/// event ordering, virtual time) that the differential test layer drives.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,10 +114,6 @@ public:
   /// (relative; virtual time in deterministic mode).
   futures::Future<Bytes> call(Bytes Request, uint64_t DeadlineAfterNanos);
 
-  /// False once the server culled this connection for idleness (calls
-  /// fail fast with "connection idle timeout").
-  bool isServerOpen() const;
-
   /// Closes the connection (idempotent). Drain-before-close: requests
   /// already queued are still handled and their responses delivered
   /// before the close completes.
@@ -159,9 +154,7 @@ public:
   /// Total requests handled so far (exact once traffic quiesces).
   uint64_t requestsHandled();
 
-  /// Connections currently registered: opened and neither closed nor
-  /// culled-and-released — the observable the idle-cull memory claim is
-  /// tested against.
+  /// Connections currently registered: opened and not yet closed.
   size_t connectionsLive() const;
 
   /// Number of reactor shards backing this server.
@@ -183,9 +176,9 @@ public:
   /// The simulation's virtual clock (deterministic per schedule).
   uint64_t virtualNanos() const;
 
-  /// Advances the virtual clock by \p Nanos and fires every timer that
-  /// came due — the sim-mode path to idle timeouts and request deadlines
-  /// without queueing traffic.
+  /// Advances the virtual clock by \p Nanos without processing a frame:
+  /// a queued request whose deadline the clock passed fails when the
+  /// pump dequeues it.
   void advanceVirtualTime(uint64_t Nanos);
 
   /// True when nothing is queued (sim mode only).

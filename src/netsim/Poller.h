@@ -6,10 +6,12 @@
 ///
 /// \file
 /// The readiness interface of the netsim reactor. A shard's event loop
-/// blocks in Poller::poll waiting for connections whose inbound frame
-/// queue transitioned empty -> non-empty; producers deliver that edge with
-/// Poller::notify. The interface is the seam that gives the reactor its
-/// two personalities:
+/// calls Poller::poll for connections whose inbound frame queue
+/// transitioned empty -> non-empty: it blocks when the shard has nothing
+/// else to do and probes without blocking otherwise. There is no timed
+/// wait — nothing in the reactor is due at a time. Producers deliver the
+/// edge with Poller::notify. The interface is the seam that gives the
+/// reactor its two personalities:
 ///
 ///  - ThreadPoller: the real multi-shard reactor. An MPSC queue of
 ///    intrusive readiness nodes plus a Parker for the shard thread;
@@ -36,7 +38,6 @@
 #include "runtime/Park.h"
 
 #include <atomic>
-#include <cstdint>
 #include <vector>
 
 namespace ren {
@@ -61,15 +62,13 @@ public:
   /// enqueued the frame that made the connection readable.
   virtual void notify(ReadyNode *N) = 0;
 
-  /// Appends pending readiness events to \p Out, waiting up to
-  /// \p WaitNanos for the first one: 0 polls without blocking, UINT64_MAX
-  /// blocks until an event or shutdown, anything else is a timed wait
-  /// (the shard's next-timer bound) that may legitimately append nothing.
+  /// Appends pending readiness events to \p Out. With \p Block, waits
+  /// until at least one event arrives or the poller shuts down; without
+  /// it, probes and may append nothing.
   /// \returns false once the poller is shut down *and* drained — the
   /// event loop's exit condition (events queued before shutdown are
   /// still delivered, so no armed connection is ever stranded).
-  virtual bool poll(std::vector<ReadyNode *> &Out,
-                    uint64_t WaitNanos = UINT64_MAX) = 0;
+  virtual bool poll(std::vector<ReadyNode *> &Out, bool Block = true) = 0;
 
   /// Initiates shutdown: poll stops blocking, drains what is queued, and
   /// then reports exhaustion.
@@ -80,8 +79,7 @@ public:
 class ThreadPoller final : public Poller {
 public:
   void notify(ReadyNode *N) override;
-  bool poll(std::vector<ReadyNode *> &Out,
-            uint64_t WaitNanos = UINT64_MAX) override;
+  bool poll(std::vector<ReadyNode *> &Out, bool Block = true) override;
   void shutdown() override;
 
 private:
@@ -105,9 +103,8 @@ class SimPoller final : public Poller {
 public:
   void notify(ReadyNode *N) override { Ready.push_back(N); }
 
-  bool poll(std::vector<ReadyNode *> &Out,
-            uint64_t WaitNanos = UINT64_MAX) override {
-    (void)WaitNanos; // never blocks: the sim driver owns time
+  bool poll(std::vector<ReadyNode *> &Out, bool Block = true) override {
+    (void)Block; // never blocks: the sim driver owns time
     Out.insert(Out.end(), Ready.begin(), Ready.end());
     Ready.clear();
     return !Down;

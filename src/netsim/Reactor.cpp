@@ -11,20 +11,6 @@
 using namespace ren;
 using namespace ren::netsim;
 
-namespace {
-
-/// A pending sim-mode request deadline: heap-owned because the request may
-/// outlive its frame while queued. The timer holds a promise copy and
-/// fires tryFailure unconditionally — lazy cancellation: a completed
-/// request makes the failure a no-op, so nobody ever needs to cancel.
-/// Freed when fired or at reactor teardown.
-struct DeadlineTimer {
-  TimerNode Node;
-  futures::Promise<Bytes> Reply;
-};
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Poller
 //===----------------------------------------------------------------------===//
@@ -46,6 +32,7 @@ void ThreadPoller::notify(ReadyNode *N) {
   // the consumer's Sleeping publish vs its re-drain. Both sides fence
   // seq_cst, so "consumer misses the node AND producer misses Sleeping"
   // (the lost-wakeup store-buffering outcome) cannot happen.
+  // Pairs with the fence after poll()'s Sleeping.store(true).
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (Sleeping.load(std::memory_order_relaxed) &&
       Sleeping.exchange(false, std::memory_order_acq_rel))
@@ -55,13 +42,15 @@ void ThreadPoller::notify(ReadyNode *N) {
 
 void ThreadPoller::shutdown() {
   ShuttingDown.store(true, std::memory_order_seq_cst);
+  // Pairs with the fence after poll()'s Sleeping.store(true): poll sees
+  // ShuttingDown, or we see Sleeping and unpark it.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (Sleeping.exchange(false, std::memory_order_acq_rel))
     if (runtime::Parker *P = Waiter.load(std::memory_order_acquire))
       P->unpark();
 }
 
-bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
+bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, bool Block) {
   if (!Waiter.load(std::memory_order_relaxed))
     Waiter.store(&runtime::currentParker(), std::memory_order_release);
   if (drain(Out))
@@ -71,10 +60,8 @@ bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
     // only when a post-flag drain finds nothing.
     return drain(Out);
   }
-  if (WaitNanos == 0)
+  if (!Block)
     return true; // non-blocking probe: empty is a valid answer
-  const uint64_t Deadline =
-      WaitNanos == UINT64_MAX ? UINT64_MAX : wallNanos() + WaitNanos;
   for (;;) {
     // Brief spin: readiness edges usually arrive in bursts.
     for (int I = 0; I < 64; ++I) {
@@ -83,6 +70,8 @@ bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
       std::this_thread::yield();
     }
     Sleeping.store(true, std::memory_order_release);
+    // Pairs with the fences in notify() (after its push) and shutdown()
+    // (after its ShuttingDown store).
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (drain(Out)) {
       Sleeping.store(false, std::memory_order_relaxed);
@@ -92,27 +81,12 @@ bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
       Sleeping.store(false, std::memory_order_relaxed);
       return drain(Out);
     }
-    if (Deadline == UINT64_MAX) {
-      runtime::currentParker().park(); // spurious returns are fine: we loop
-    } else {
-      uint64_t Now = wallNanos();
-      if (Now >= Deadline) {
-        Sleeping.store(false, std::memory_order_relaxed);
-        drain(Out);
-        return true; // timed out: the caller advances its timers
-      }
-      // parkFor is millisecond-grained; round up so we never spin on a
-      // sub-millisecond remainder, and re-check the deadline on wake.
-      uint64_t Millis = (Deadline - Now + 999999) / 1000000;
-      runtime::currentParker().parkFor(Millis ? Millis : 1);
-    }
+    runtime::currentParker().park(); // spurious returns are fine: we loop
     Sleeping.store(false, std::memory_order_relaxed);
     if (drain(Out))
       return true;
     if (ShuttingDown.load(std::memory_order_acquire))
       return drain(Out);
-    if (Deadline != UINT64_MAX && wallNanos() >= Deadline)
-      return true;
   }
 }
 
@@ -123,8 +97,6 @@ bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, uint64_t WaitNanos) {
 Connection::Connection(Reactor &Owner, unsigned ShardIndex, uint32_t ConnId)
     : Owner(Owner), ShardIndex(ShardIndex), ConnId(ConnId) {
   Node.Conn = this;
-  IdleTimer.What = TimerNode::Kind::IdleCull;
-  IdleTimer.Payload = this;
 }
 
 Connection::~Connection() = default;
@@ -134,8 +106,8 @@ void Connection::submit(FrameNode *Frame) {
   // The push's exchange is the lock-free-queue CAS the JVM Finagle stack
   // performs per write; count it as the paper's atomic metric does.
   metrics::count(metrics::Metric::Atomic);
-  // Edge-trigger: only the false->true arming edge posts an event. The
-  // fence pairs with the shard's disarm/re-check (see drainBudgeted).
+  // Edge-trigger: only the false->true arming edge posts an event.
+  // Pairs with the fence after drainBudgeted's Armed.store(false).
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (!Armed.exchange(true, std::memory_order_acq_rel))
     Owner.Shards[ShardIndex]->Events->notify(&Node);
@@ -149,8 +121,6 @@ futures::Future<Bytes> Connection::call(Bytes Request,
                                         uint64_t DeadlineAfterNanos) {
   if (!ClientOpen.load(std::memory_order_acquire))
     return futures::Future<Bytes>::failed("connection closed");
-  if (!ServerOpen.load(std::memory_order_acquire))
-    return futures::Future<Bytes>::failed("connection idle timeout");
   auto *Frame = runtime::heap::create<FrameNode>();
   uint64_t Id = NextRequestId.fetch_add(1, std::memory_order_relaxed);
   Frame->Wire.reserve(Request.size() + 8);
@@ -159,25 +129,10 @@ futures::Future<Bytes> Connection::call(Bytes Request,
   Frame->Wire.insert(Frame->Wire.end(), Request.begin(), Request.end());
   runtime::noteObjectAlloc(); // the wire envelope
   futures::Future<Bytes> Fut = Frame->Reply.future();
-  if (DeadlineAfterNanos != 0) {
-    if (Owner.deterministic()) {
-      // Single-threaded mode: arm the deadline in the shard's wheel at
-      // call time, as Finagle's client stack does. Expiry is driven by
-      // the virtual clock, so firing order is seed-stable.
-      Frame->DeadlineNanos = Owner.SimNanos + DeadlineAfterNanos;
-      auto *D = runtime::heap::create<DeadlineTimer>();
-      D->Node.What = TimerNode::Kind::RequestDeadline;
-      D->Node.Payload = D;
-      D->Reply = Frame->Reply;
-      Owner.Shards[ShardIndex]->Wheel->schedule(&D->Node,
-                                                Frame->DeadlineNanos);
-    } else {
-      // Real mode: the producer cannot touch the shard-private wheel;
-      // the shard enforces the stamp at dequeue and again after the
-      // handler ran.
-      Frame->DeadlineNanos = wallNanos() + DeadlineAfterNanos;
-    }
-  }
+  // The shard enforces the stamp at dequeue and again after the handler
+  // ran (Reactor::deadlinePassed).
+  if (DeadlineAfterNanos != 0)
+    Frame->DeadlineNanos = Owner.nowNanos() + DeadlineAfterNanos;
   submit(Frame);
   return Fut;
 }
@@ -209,7 +164,6 @@ void Connection::close() {
 Reactor::Reactor(Handler HandleFn, ReactorOptions Options)
     : Handle(std::move(HandleFn)), Opts(Options), SimRng(Options.Seed) {
   assert(Opts.Shards > 0 && "reactor needs at least one shard");
-  const uint64_t Anchor = Opts.Deterministic ? 0 : wallNanos();
   Shards.reserve(Opts.Shards);
   for (unsigned I = 0; I < Opts.Shards; ++I) {
     auto S = std::make_unique<Shard>();
@@ -217,8 +171,6 @@ Reactor::Reactor(Handler HandleFn, ReactorOptions Options)
       S->Events = std::make_unique<SimPoller>();
     else
       S->Events = std::make_unique<ThreadPoller>();
-    S->Wheel = std::make_unique<TimerWheel>(Anchor);
-    S->NowNanos = Anchor;
     Shards.push_back(std::move(S));
   }
   if (!Opts.Deterministic)
@@ -232,17 +184,6 @@ Reactor::~Reactor() {
   for (auto &S : Shards)
     if (S->Loop.joinable())
       S->Loop.join();
-  // Drain the wheels: deadline timers own heap nodes and promise copies.
-  for (auto &S : Shards) {
-    std::vector<TimerNode *> Left;
-    S->Wheel->drainAll(Left);
-    for (TimerNode *T : Left)
-      if (T->What == TimerNode::Kind::RequestDeadline) {
-        auto *D = static_cast<DeadlineTimer *>(T->Payload);
-        D->Reply.tryFailure("server destroyed");
-        runtime::heap::destroy(D);
-      }
-  }
   // Defensive sweep: a connection left open holds frames nobody will
   // process now (the contract is to close connections first; this keeps
   // the failure mode "futures fail" rather than "futures hang").
@@ -277,14 +218,6 @@ std::shared_ptr<Connection> Reactor::open() {
     std::lock_guard<std::mutex> Guard(ConnLock);
     Registry.emplace(Id, C);
   }
-  if (Opts.IdleTimeoutNanos > 0) {
-    // Announce the connection to its shard so the idle timer gets armed
-    // (the wheel is shard-private; the announcement rides the normal
-    // readiness path).
-    auto *Reg = runtime::heap::create<FrameNode>();
-    Reg->FrameKind = FrameNode::Kind::Register;
-    C->submit(Reg);
-  }
   return C;
 }
 
@@ -300,6 +233,14 @@ size_t Reactor::connectionsLive() const {
   return Registry.size();
 }
 
+uint64_t Reactor::nowNanos() const {
+  return Opts.Deterministic ? SimNanos : wallNanos();
+}
+
+bool Reactor::deadlinePassed(const FrameNode &Frame) const {
+  return Frame.DeadlineNanos != 0 && nowNanos() >= Frame.DeadlineNanos;
+}
+
 //===----------------------------------------------------------------------===//
 // Shard event loop (real mode)
 //===----------------------------------------------------------------------===//
@@ -308,18 +249,11 @@ void Reactor::shardLoop(Shard &S) {
   std::vector<ReadyNode *> Batch;
   std::deque<Connection *> Run;
   for (;;) {
-    // Block only when the run queue is dry; otherwise probe. The wait is
-    // bounded by the wheel so due timers fire even with no traffic.
-    uint64_t Wait = 0;
-    if (Run.empty())
-      Wait = S.Wheel->nanosToNext(wallNanos());
-    bool Alive = S.Events->poll(Batch, Wait);
+    // Block only when the run queue is dry; otherwise probe.
+    bool Alive = S.Events->poll(Batch, /*Block=*/Run.empty());
     for (ReadyNode *N : Batch)
       Run.push_back(N->Conn);
     Batch.clear();
-
-    S.NowNanos = wallNanos();
-    advanceTimers(S);
 
     // One bounded pass over the batch: a connection that exhausts its
     // drain budget is requeued *behind* this pass, so every ready
@@ -350,8 +284,9 @@ bool Reactor::drainBudgeted(Shard &S, Connection &C) {
     }
     if (Budget == 0 && C.Inbound.consumerMaybeNonEmpty())
       return true; // budget spent, frames left: requeue, stay armed
-    // Disarm, then re-check behind a seq_cst fence (pairs with the
-    // producer's push+arm fence): either we see the racing frame here,
+    // Disarm, then re-check behind a seq_cst fence (pairs with the fence
+    // in Connection::submit between its push and its Armed exchange):
+    // either we see the racing frame here,
     // or the producer saw our disarm and posted a fresh event. Paid once
     // per drained connection, not once per budget slice.
     C.Armed.store(false, std::memory_order_release);
@@ -375,15 +310,6 @@ bool Reactor::drainBudgeted(Shard &S, Connection &C) {
 void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   runtime::Ref<FrameNode> Owned(Frame); // frees into the substrate
 
-  if (Frame->FrameKind == FrameNode::Kind::Register) {
-    // Connection announcement: arm the idle timer. No reply, no request
-    // accounting, no virtual-time charge.
-    C.LastActivityNanos = S.NowNanos;
-    if (Opts.IdleTimeoutNanos > 0 && !C.Retired && !C.IdleTimer.scheduled())
-      S.Wheel->schedule(&C.IdleTimer, S.NowNanos + Opts.IdleTimeoutNanos);
-    return;
-  }
-
   if (Frame->FrameKind == FrameNode::Kind::CloseMarker) {
     C.PeerClosed = true;
     C.State = Connection::RxState::Idle;
@@ -392,8 +318,10 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
     for (auto &Entry : C.Pending)
       Entry.second.tryFailure("connection closed");
     C.Pending.clear();
-    Frame->Reply.trySuccess({}); // drain-complete ack
+    // Retire before the ack, so a caller returning from close() reads an
+    // exact connectionsLive().
     retire(S, C);
+    Frame->Reply.trySuccess({}); // drain-complete ack
     return;
   }
 
@@ -404,23 +332,10 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
     return;
   }
 
-  if (C.Culled) {
-    // The server culled this connection for idleness before the frame
-    // was drained; the write fails, as on a remotely-closed socket.
-    Frame->Reply.tryFailure("connection idle timeout");
-    return;
-  }
-
-  if (Opts.IdleTimeoutNanos > 0)
-    C.LastActivityNanos = S.NowNanos;
-
-  if (Frame->DeadlineNanos != 0) {
+  if (deadlinePassed(*Frame)) {
     // Expired while queued: fail without burning handler time.
-    uint64_t Now = Opts.Deterministic ? SimNanos : wallNanos();
-    if (Now >= Frame->DeadlineNanos) {
-      Frame->Reply.tryFailure("request deadline exceeded");
-      return;
-    }
+    Frame->Reply.tryFailure("request deadline exceeded");
+    return;
   }
 
   // --- the per-connection state machine ---
@@ -466,9 +381,9 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   ++C.FramesHandled;
   S.Handled.fetch_add(1, std::memory_order_relaxed);
   // A response completed past its deadline is a failure, not a late
-  // success (real mode; in sim the pre-check and wheel govern expiry).
-  if (Frame->DeadlineNanos != 0 && !Opts.Deterministic &&
-      wallNanos() >= Frame->DeadlineNanos)
+  // success. (In sim mode the clock has not moved since the dequeue
+  // check: the frame's virtual-time charge lands below.)
+  if (deadlinePassed(*Frame))
     P.tryFailure("request deadline exceeded");
   else
     P.trySuccess(std::move(Body));
@@ -477,59 +392,10 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
     SimNanos += kSimFrameNanos + kSimByteNanos * Frame->Wire.size();
 }
 
-//===----------------------------------------------------------------------===//
-// Timers: idle culling and request deadlines
-//===----------------------------------------------------------------------===//
-
-void Reactor::advanceTimers(Shard &S) {
-  S.FiredScratch.clear();
-  S.Wheel->advanceTo(S.NowNanos, S.FiredScratch);
-  for (TimerNode *T : S.FiredScratch)
-    fireTimer(S, T);
-}
-
-void Reactor::fireTimer(Shard &S, TimerNode *T) {
-  switch (T->What) {
-  case TimerNode::Kind::IdleCull: {
-    auto *C = static_cast<Connection *>(T->Payload);
-    if (C->Retired)
-      return; // embedded node; the connection is already on its way out
-    uint64_t Due = C->LastActivityNanos + Opts.IdleTimeoutNanos;
-    if (S.NowNanos < Due) {
-      // Activity since the arm: push the timer out instead of tracking
-      // every frame (the lazy-reschedule idiom all timeout wheels use).
-      S.Wheel->schedule(T, Due);
-      return;
-    }
-    cull(S, *C);
-    return;
-  }
-  case TimerNode::Kind::RequestDeadline: {
-    auto *D = static_cast<DeadlineTimer *>(T->Payload);
-    D->Reply.tryFailure("request deadline exceeded");
-    runtime::heap::destroy(D);
-    return;
-  }
-  case TimerNode::Kind::None:
-    return;
-  }
-}
-
-void Reactor::cull(Shard &S, Connection &C) {
-  C.Culled = true;
-  // Fail-fast for future calls; frames already queued fail at drain.
-  C.ServerOpen.store(false, std::memory_order_release);
-  for (auto &Entry : C.Pending)
-    Entry.second.tryFailure("connection idle timeout");
-  C.Pending.clear();
-  retire(S, C);
-}
-
 void Reactor::retire(Shard &S, Connection &C) {
   if (C.Retired)
     return;
   C.Retired = true;
-  S.Wheel->cancel(&C.IdleTimer);
   std::lock_guard<std::mutex> Guard(ConnLock);
   auto It = Registry.find(C.id());
   if (It != Registry.end()) {
@@ -579,7 +445,7 @@ void Reactor::sweepGraveyard(Shard &S) {
 void Reactor::gatherSimReady() {
   std::vector<ReadyNode *> Batch;
   for (auto &S : Shards)
-    S->Events->poll(Batch, 0);
+    S->Events->poll(Batch, /*Block=*/false);
   for (ReadyNode *N : Batch)
     SimReady.push_back(N->Conn);
 }
@@ -597,17 +463,8 @@ bool Reactor::idle() const {
 size_t Reactor::pump(size_t MaxFrames) {
   assert(Opts.Deterministic &&
          "pump() drives deterministic reactors; real shards self-drive");
-  auto FireDueTimers = [this] {
-    for (auto &S : Shards) {
-      S->NowNanos = SimNanos;
-      advanceTimers(*S);
-    }
-  };
   size_t Processed = 0;
   while (Processed < MaxFrames) {
-    // Virtual time advanced by the previous frame: fire what came due
-    // before picking the next event, as a real shard round would.
-    FireDueTimers();
     gatherSimReady();
     if (SimReady.empty())
       break;
@@ -618,9 +475,7 @@ size_t Reactor::pump(size_t MaxFrames) {
     Connection *C = SimReady[Pick];
     auto *Frame = static_cast<FrameNode *>(C->Inbound.pop());
     if (Frame) {
-      Shard &S = *Shards[C->ShardIndex];
-      S.NowNanos = SimNanos;
-      processFrame(S, *C, Frame);
+      processFrame(*Shards[C->ShardIndex], *C, Frame);
       ++Processed;
     }
     // Single-threaded: the disarm/re-check protocol degenerates to a
@@ -631,7 +486,6 @@ size_t Reactor::pump(size_t MaxFrames) {
       SimReady.pop_back();
     }
   }
-  FireDueTimers();
   for (auto &S : Shards)
     sweepGraveyard(*S);
   return Processed;
@@ -641,10 +495,4 @@ void Reactor::advanceVirtualTime(uint64_t Nanos) {
   assert(Opts.Deterministic &&
          "advanceVirtualTime drives the sim clock; real time advances itself");
   SimNanos += Nanos;
-  for (auto &S : Shards) {
-    S->NowNanos = SimNanos;
-    advanceTimers(*S);
-  }
-  for (auto &S : Shards)
-    sweepGraveyard(*S);
 }

@@ -80,8 +80,10 @@ bool StmRuntime::commit(Transaction &Txn) {
 
 void StmRuntime::awaitCommit(uint64_t Seen) {
   runtime::Synchronized Sync(CommitMonitor);
-  // Bounded wait: a commit may land between the count read and the wait,
-  // so never block unboundedly on the notification alone.
+  // Exact wait: a committer bumps the count and then calls notifyAll
+  // under this monitor, which we hold from the check until wait()
+  // releases it, so the notify cannot fall between the check and the
+  // wait.
   while (CommitCount.load(std::memory_order_acquire) == Seen)
-    CommitMonitor.waitFor(/*Millis=*/1);
+    CommitMonitor.wait();
 }

@@ -84,11 +84,16 @@ TEST(NetSimStressTest, ManyShortLivedConnections) {
   Server Srv("echo", [](const Bytes &B) { return B; }, 2);
   for (int C = 0; C < 40; ++C) {
     auto Conn = Srv.connect();
+    EXPECT_EQ(Srv.connectionsLive(), 1u);
     auto Response = Conn->call({7});
     EXPECT_EQ(Response.get(), (Bytes{7}));
     Conn->close();
+    // close() returns only after the shard retired the connection, so
+    // the registry has already let go while the client holds its handle.
+    EXPECT_EQ(Srv.connectionsLive(), 0u) << "connection " << C;
   }
   EXPECT_EQ(Srv.requestsHandled(), 40u);
+  EXPECT_EQ(Srv.connectionsLive(), 0u);
 }
 
 TEST(NetSimStressTest, InterleavedClientsUnderLoad) {

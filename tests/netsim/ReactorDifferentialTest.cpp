@@ -109,8 +109,10 @@ using Observed = std::vector<std::vector<Bytes>>;
 /// the order they complete. Real mode: callbacks run on shard threads, so
 /// each connection's log has its own lock (per-connection order is what
 /// the differential contract is about; cross-connection order is
-/// schedule-dependent by design and not compared).
-Observed execute(Server &Srv, const Script &S) {
+/// schedule-dependent by design and not compared). Every call carries
+/// \p DeadlineAfterNanos (0 = none); a failed future fails the test.
+Observed execute(Server &Srv, const Script &S,
+                 uint64_t DeadlineAfterNanos = 0) {
   unsigned Conns = static_cast<unsigned>(S.PerConn.size());
   Observed Logs(Conns);
   std::vector<std::unique_ptr<std::mutex>> LogLocks;
@@ -122,7 +124,7 @@ Observed execute(Server &Srv, const Script &S) {
     Pool.push_back(Srv.connect());
   for (unsigned C = 0; C < Conns; ++C)
     for (const Bytes &Payload : S.PerConn[C])
-      Pool[C]->call(Payload).onComplete(
+      Pool[C]->call(Payload, DeadlineAfterNanos).onComplete(
           ren::futures::InlineExecutor::get(),
           [&Logs, &LogLocks, C](const ren::futures::Try<Bytes> &T) {
             ASSERT_TRUE(T.isSuccess()) << T.error();
@@ -204,13 +206,15 @@ TEST(ReactorDifferentialTest, RandomizedSizesStressTheEnvelopeCodec) {
   runDifferential("chirper", 0x5A5A, /*Conns=*/12, /*PerConn=*/10, 4);
 }
 
-TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithTimersArmed) {
-  // Stalls and the timer wheel must be invisible to the differential
+TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithDeadlinesArmed) {
+  // Stalls and deadline checks must be invisible to the differential
   // contract: a handler that stalls (real mode only — the stall changes
   // timing, never bytes) holds up its shard while the other connections'
-  // frames queue behind it, with idle-cull timers armed throughout.
-  // Responses must still match the simulation byte-for-byte in
-  // per-connection order.
+  // frames queue behind it, and every request carries a deadline far
+  // beyond the run. Responses must still match the simulation
+  // byte-for-byte in per-connection order; an armed deadline that fired
+  // would fail a future, which execute() reports.
+  constexpr uint64_t kGenerousDeadline = 60'000'000'000; // 60 s, either clock
   for (uint64_t Seed : {21ull, 0xfadedULL}) {
     SCOPED_TRACE("slow-mix seed=" + std::to_string(Seed));
     Script S = makeEchoScript(Seed, /*Conns=*/6, /*PerConn=*/24);
@@ -230,16 +234,14 @@ TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithTimersArmed) {
       Opts.Shards = 2;
       Opts.Deterministic = true;
       Opts.Seed = Seed ^ 0x9e3779b97f4a7c15ULL;
-      Opts.IdleTimeoutNanos = 500'000'000; // armed, far beyond the run
       Server Srv("sim", MakeHandler(false), Opts);
-      Sim = execute(Srv, S);
+      Sim = execute(Srv, S, kGenerousDeadline);
     }
     {
       ServerOptions Opts;
       Opts.Shards = 2;
-      Opts.IdleTimeoutNanos = 500'000'000;
       Server Srv("real", MakeHandler(true), Opts);
-      Real = execute(Srv, S);
+      Real = execute(Srv, S, kGenerousDeadline);
     }
 
     ASSERT_EQ(Sim.size(), Real.size());

@@ -329,85 +329,6 @@ private:
   std::vector<ren::futures::Future<Bytes>> Plain;
 };
 
-/// The idle-cull timer races a producer mid-send: the timeout is tuned to
-/// the gap actor 0 leaves between frames, so the shard's cull (retire,
-/// registry erase, fail-fast flag) interleaves with submit's push/arm/
-/// notify on another thread. Every call resolves — echoed, or failed
-/// with the idle-timeout error — and close() on a possibly-culled
-/// connection still drains cleanly.
-class CullRacesConcurrentSendScenario : public StressScenario {
-  static constexpr unsigned kCalls = 5;
-
-public:
-  CullRacesConcurrentSendScenario()
-      : Srv("cull-race", [](const Bytes &Request) { return Request; },
-            [] {
-              ServerOptions Opts;
-              Opts.Shards = 1;
-              Opts.IdleTimeoutNanos = 300'000; // ~one wheel tick of slack
-              return Opts;
-            }()) {}
-
-  std::string name() const override { return "netsim-cull-vs-send"; }
-  unsigned actors() const override { return 2; }
-
-  void prepare() override {
-    Conn = Srv.connect();
-    Sent[0].clear();
-    Sent[1].clear();
-  }
-
-  void run(unsigned Index, InterleavingNudge &Nudge) override {
-    for (unsigned I = 0; I < kCalls; ++I) {
-      // Gaps just past the timeout keep the cull and the next send in a
-      // genuine race; the nudge jitters which side wins.
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          Index == 0 ? 900 : 1300));
-      Nudge.pause();
-      Sent[Index].push_back(Conn->call(
-          toBytes(std::to_string(Index) + ":" + std::to_string(I))));
-    }
-  }
-
-  std::string observe() override {
-    unsigned Culled = 0;
-    for (unsigned A = 0; A < 2; ++A)
-      for (unsigned I = 0; I < Sent[A].size(); ++I) {
-        const auto &R = Sent[A][I].await();
-        if (R.isSuccess()) {
-          if (toString(R.value()) !=
-              std::to_string(A) + ":" + std::to_string(I))
-            return "corrupt-payload";
-        } else if (R.error() != "connection idle timeout") {
-          return "wrong-error:" + R.error();
-        } else {
-          ++Culled;
-        }
-      }
-    Conn->close(); // must not hang even when the cull already retired us
-    Conn.reset();
-    return "culled:" + std::to_string(Culled);
-  }
-
-  OutcomeSpec spec() const override {
-    OutcomeSpec Spec;
-    for (unsigned I = 0; I <= 2 * kCalls; ++I)
-      Spec.accept("culled:" + std::to_string(I),
-                  I == 0 ? "traffic kept the connection alive throughout"
-                         : "the cull landed between sends");
-    Spec.forbid("corrupt-payload",
-                "cull raced a drain into a mangled response")
-        .forbid("wrong-error:connection idle timeout",
-                "unreachable sentinel"); // real wrong-errors carry text
-    return Spec;
-  }
-
-private:
-  Server Srv;
-  std::unique_ptr<ClientConnection> Conn;
-  std::vector<ren::futures::Future<Bytes>> Sent[2];
-};
-
 } // namespace
 
 TEST(NetSimReactorStress, CloseRacingInFlightFramesKeepsFifoPrefix) {
@@ -438,14 +359,6 @@ TEST(NetSimReactorStress, TimeoutRacingInFlightResponses) {
   TimeoutRacesInFlightResponseScenario S;
   StressRunner::Options Opts;
   Opts.Repetitions = 60;
-  StressReport Report = StressRunner(Opts).run(S);
-  EXPECT_TRUE(Report.passed()) << Report.summary();
-}
-
-TEST(NetSimReactorStress, IdleCullRacingConcurrentSends) {
-  CullRacesConcurrentSendScenario S;
-  StressRunner::Options Opts;
-  Opts.Repetitions = 80;
   StressReport Report = StressRunner(Opts).run(S);
   EXPECT_TRUE(Report.passed()) << Report.summary();
 }

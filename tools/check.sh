@@ -8,7 +8,8 @@
 #                                  #     pinned to 1, 2 and all CPUs
 #                                  #     (taskset), one pass per CPU set
 #   tools/check.sh --tsan          # ... then a -DREN_SANITIZE=thread build
-#                                  #     and the runtime/stress tests under it
+#                                  #     and every non-bench test under it
+#                                  #     (tier1 and stress labels)
 #   tools/check.sh --asan          # ... a -DREN_SANITIZE=address build and
 #                                  #     the allocation-substrate tests
 #                                  #     under it (ctest -L alloc:
@@ -107,7 +108,7 @@ while [[ $# -gt 0 ]]; do
       shift
       ;;
     -h|--help)
-      sed -n '2,22p' "$0" | sed 's/^#//'
+      sed -n '2,23p' "$0" | sed 's/^#//'
       exit 0
       ;;
     *)
@@ -169,11 +170,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   step "tsan: build"
   cmake --build "$TSAN_DIR" -j "$JOBS"
 
-  step "tsan: runtime tests under TSan"
-  ctest --test-dir "$TSAN_DIR" -R '^test_runtime$' --output-on-failure
-
-  step "tsan: stress label under TSan"
-  ctest --test-dir "$TSAN_DIR" -L stress --output-on-failure -j "$JOBS"
+  step "tsan: every non-bench test under TSan"
+  ctest --test-dir "$TSAN_DIR" -LE bench --output-on-failure -j "$JOBS"
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
