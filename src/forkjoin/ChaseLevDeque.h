@@ -102,6 +102,9 @@ public:
     int64_t B = Bottom.load(std::memory_order_relaxed) - 1;
     Ring *R = Buf.load(std::memory_order_relaxed);
     Bottom.store(B, std::memory_order_relaxed);
+    // Store-buffering pair with the fence in steal(), between its Top and
+    // Bottom loads: either a thief sees our decremented Bottom, or we see
+    // its Top, so owner and thief never both take the last item.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     int64_t Tp = Top.load(std::memory_order_relaxed);
     T *Item = nullptr;
@@ -127,6 +130,9 @@ public:
   StealResult steal() {
     StealResult Res;
     int64_t Tp = Top.load(std::memory_order_acquire);
+    // Store-buffering pair with the fence in pop(), between its Bottom
+    // store and its Top load; essential, not replaceable by ordering on
+    // either atomic alone.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     int64_t B = Bottom.load(std::memory_order_acquire);
     if (Tp < B) {

@@ -240,7 +240,10 @@ void ForkJoinPool::schedule(TaskBase *T) {
 
 void ForkJoinPool::signalWork() {
   // Order the caller's enqueue before the idle-stack read (rule (1) of
-  // the wakeup protocol).
+  // the wakeup protocol). Store-buffering pair with the seq_cst
+  // IdleHead CAS in registerIdleWorker, which a parking worker runs
+  // before re-checking the queues: either we read its registration, or
+  // its re-check sees our task.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if ((IdleHead.load(std::memory_order_acquire) & kIdleIndexMask) == 0)
     return; // Nobody idle: the common fast path, one load.

@@ -152,9 +152,6 @@ void LoadGen::stop() {
 }
 
 LoadReport LoadGen::run() {
-  assert(!Target.deterministic() &&
-         "LoadGen drives real-mode servers; deterministic servers are "
-         "pumped explicitly");
   auto S = std::make_shared<RunState>();
   S->KeepSamples = Opts.KeepSamples;
   S->Validate = Opts.Validate;

@@ -150,7 +150,7 @@ struct LoadReport {
   }
 };
 
-/// Drives an open-loop request schedule against a (real-mode) Server.
+/// Drives an open-loop request schedule against a Server.
 class LoadGen {
 public:
   LoadGen(Server &Target, LoadGenOptions Opts);

@@ -112,13 +112,9 @@ void ClientConnection::close() { Conn->close(); }
 // Server
 //===----------------------------------------------------------------------===//
 
-Server::Server(std::string Name, Handler Handle, unsigned Shards)
-    : Server(std::move(Name), std::move(Handle),
-             ServerOptions{Shards, false, 0x5eedc0de}) {}
-
-Server::Server(std::string ServiceName, Handler Handle, ServerOptions Opts)
+Server::Server(std::string ServiceName, Handler Handle, unsigned Shards)
     : Name(std::move(ServiceName)),
-      Core(std::make_unique<Reactor>(std::move(Handle), Opts)) {}
+      Core(std::make_unique<Reactor>(std::move(Handle), Shards)) {}
 
 Server::~Server() = default;
 
@@ -132,17 +128,3 @@ uint64_t Server::requestsHandled() { return Core->requestsHandled(); }
 size_t Server::connectionsLive() const { return Core->connectionsLive(); }
 
 unsigned Server::shards() const { return Core->shards(); }
-
-bool Server::deterministic() const { return Core->deterministic(); }
-
-size_t Server::pump(size_t MaxFrames) { return Core->pump(MaxFrames); }
-
-size_t Server::runUntilIdle() { return Core->runUntilIdle(); }
-
-uint64_t Server::virtualNanos() const { return Core->virtualNanos(); }
-
-void Server::advanceVirtualTime(uint64_t Nanos) {
-  Core->advanceVirtualTime(Nanos);
-}
-
-bool Server::idle() const { return Core->idle(); }

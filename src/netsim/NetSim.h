@@ -17,10 +17,8 @@
 /// futures — no per-connection threads, so connection counts scale to the
 /// tens of thousands the Finagle workloads assume.
 ///
-/// Server/ClientConnection keep the original public surface; ServerOptions
-/// (the reactor's own ReactorOptions) additionally exposes the shard
-/// count and the single-threaded deterministic-simulation mode (seeded
-/// event ordering, virtual time) that the differential test layer drives.
+/// Server/ClientConnection keep the original public surface; the shard
+/// count is the server's only setting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,9 +92,6 @@ private:
   bool Closed = false;
 };
 
-/// Server construction parameters: the reactor's options, used directly.
-using ServerOptions = ReactorOptions;
-
 /// A client connection handle: request/response with future-based
 /// dispatch. Thin owner of a reactor Connection.
 class ClientConnection {
@@ -111,7 +106,7 @@ public:
 
   /// Like call(), but the response future fails with "request deadline
   /// exceeded" unless it completes within \p DeadlineAfterNanos
-  /// (relative; virtual time in deterministic mode).
+  /// (relative to now).
   futures::Future<Bytes> call(Bytes Request, uint64_t DeadlineAfterNanos);
 
   /// Closes the connection (idempotent). Drain-before-close: requests
@@ -137,9 +132,6 @@ public:
   /// the same capacity role without per-connection threads.)
   Server(std::string Name, Handler Handle, unsigned Shards);
 
-  /// Full-control constructor (shard count, deterministic mode, seed).
-  Server(std::string Name, Handler Handle, ServerOptions Opts);
-
   ~Server();
 
   Server(const Server &) = delete;
@@ -159,30 +151,6 @@ public:
 
   /// Number of reactor shards backing this server.
   unsigned shards() const;
-
-  /// True when constructed in deterministic-simulation mode.
-  bool deterministic() const;
-
-  //===--------------------------------------------------------------===//
-  // Deterministic-simulation driving (Deterministic servers only)
-  //===--------------------------------------------------------------===//
-
-  /// Processes up to \p MaxFrames queued frames in seeded order.
-  size_t pump(size_t MaxFrames = SIZE_MAX);
-
-  /// Pumps until every queue is empty. \returns frames processed.
-  size_t runUntilIdle();
-
-  /// The simulation's virtual clock (deterministic per schedule).
-  uint64_t virtualNanos() const;
-
-  /// Advances the virtual clock by \p Nanos without processing a frame:
-  /// a queued request whose deadline the clock passed fails when the
-  /// pump dequeues it.
-  void advanceVirtualTime(uint64_t Nanos);
-
-  /// True when nothing is queued (sim mode only).
-  bool idle() const;
 
 private:
   std::string Name;

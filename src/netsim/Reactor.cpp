@@ -15,9 +15,7 @@ using namespace ren::netsim;
 // Poller
 //===----------------------------------------------------------------------===//
 
-Poller::~Poller() = default;
-
-bool ThreadPoller::drain(std::vector<ReadyNode *> &Out) {
+bool Poller::drain(std::vector<ReadyNode *> &Out) {
   bool Any = false;
   while (auto *N = static_cast<ReadyNode *>(Events.pop())) {
     Out.push_back(N);
@@ -26,7 +24,7 @@ bool ThreadPoller::drain(std::vector<ReadyNode *> &Out) {
   return Any;
 }
 
-void ThreadPoller::notify(ReadyNode *N) {
+void Poller::notify(ReadyNode *N) {
   Events.push(N);
   // Dekker handshake against poll(): the push above vs our Sleeping read,
   // the consumer's Sleeping publish vs its re-drain. Both sides fence
@@ -40,7 +38,7 @@ void ThreadPoller::notify(ReadyNode *N) {
       P->unpark();
 }
 
-void ThreadPoller::shutdown() {
+void Poller::shutdown() {
   ShuttingDown.store(true, std::memory_order_seq_cst);
   // Pairs with the fence after poll()'s Sleeping.store(true): poll sees
   // ShuttingDown, or we see Sleeping and unpark it.
@@ -50,7 +48,7 @@ void ThreadPoller::shutdown() {
       P->unpark();
 }
 
-bool ThreadPoller::poll(std::vector<ReadyNode *> &Out, bool Block) {
+bool Poller::poll(std::vector<ReadyNode *> &Out, bool Block) {
   if (!Waiter.load(std::memory_order_relaxed))
     Waiter.store(&runtime::currentParker(), std::memory_order_release);
   if (drain(Out))
@@ -110,7 +108,7 @@ void Connection::submit(FrameNode *Frame) {
   // Pairs with the fence after drainBudgeted's Armed.store(false).
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (!Armed.exchange(true, std::memory_order_acq_rel))
-    Owner.Shards[ShardIndex]->Events->notify(&Node);
+    Owner.Shards[ShardIndex]->Events.notify(&Node);
 }
 
 futures::Future<Bytes> Connection::call(Bytes Request) {
@@ -132,7 +130,7 @@ futures::Future<Bytes> Connection::call(Bytes Request,
   // The shard enforces the stamp at dequeue and again after the handler
   // ran (Reactor::deadlinePassed).
   if (DeadlineAfterNanos != 0)
-    Frame->DeadlineNanos = Owner.nowNanos() + DeadlineAfterNanos;
+    Frame->DeadlineNanos = wallNanos() + DeadlineAfterNanos;
   submit(Frame);
   return Fut;
 }
@@ -144,46 +142,28 @@ void Connection::close() {
   Marker->FrameKind = FrameNode::Kind::CloseMarker;
   futures::Future<Bytes> Ack = Marker->Reply.future();
   submit(Marker);
-  if (Owner.deterministic()) {
-    // Single-threaded mode: pump the simulation inline until the shard
-    // acks the drain. FIFO guarantees every earlier frame was processed.
-    while (!Ack.isCompleted()) {
-      size_t Processed = Owner.pump(1);
-      assert(Processed > 0 && "close marker queued but pump found nothing");
-      (void)Processed;
-    }
-  } else {
-    Ack.await();
-  }
+  Ack.await();
 }
 
 //===----------------------------------------------------------------------===//
 // Reactor
 //===----------------------------------------------------------------------===//
 
-Reactor::Reactor(Handler HandleFn, ReactorOptions Options)
-    : Handle(std::move(HandleFn)), Opts(Options), SimRng(Options.Seed) {
-  assert(Opts.Shards > 0 && "reactor needs at least one shard");
-  Shards.reserve(Opts.Shards);
-  for (unsigned I = 0; I < Opts.Shards; ++I) {
-    auto S = std::make_unique<Shard>();
-    if (Opts.Deterministic)
-      S->Events = std::make_unique<SimPoller>();
-    else
-      S->Events = std::make_unique<ThreadPoller>();
-    Shards.push_back(std::move(S));
-  }
-  if (!Opts.Deterministic)
-    for (auto &S : Shards)
-      S->Loop = std::thread([this, Raw = S.get()] { shardLoop(*Raw); });
+Reactor::Reactor(Handler HandleFn, unsigned ShardCount)
+    : Handle(std::move(HandleFn)) {
+  assert(ShardCount > 0 && "reactor needs at least one shard");
+  Shards.reserve(ShardCount);
+  for (unsigned I = 0; I < ShardCount; ++I)
+    Shards.push_back(std::make_unique<Shard>());
+  for (auto &S : Shards)
+    S->Loop = std::thread([this, Raw = S.get()] { shardLoop(*Raw); });
 }
 
 Reactor::~Reactor() {
   for (auto &S : Shards)
-    S->Events->shutdown();
+    S->Events.shutdown();
   for (auto &S : Shards)
-    if (S->Loop.joinable())
-      S->Loop.join();
+    S->Loop.join();
   // Defensive sweep: a connection left open holds frames nobody will
   // process now (the contract is to close connections first; this keeps
   // the failure mode "futures fail" rather than "futures hang").
@@ -233,16 +213,12 @@ size_t Reactor::connectionsLive() const {
   return Registry.size();
 }
 
-uint64_t Reactor::nowNanos() const {
-  return Opts.Deterministic ? SimNanos : wallNanos();
-}
-
-bool Reactor::deadlinePassed(const FrameNode &Frame) const {
-  return Frame.DeadlineNanos != 0 && nowNanos() >= Frame.DeadlineNanos;
+bool Reactor::deadlinePassed(const FrameNode &Frame) {
+  return Frame.DeadlineNanos != 0 && wallNanos() >= Frame.DeadlineNanos;
 }
 
 //===----------------------------------------------------------------------===//
-// Shard event loop (real mode)
+// Shard event loop
 //===----------------------------------------------------------------------===//
 
 void Reactor::shardLoop(Shard &S) {
@@ -250,7 +226,7 @@ void Reactor::shardLoop(Shard &S) {
   std::deque<Connection *> Run;
   for (;;) {
     // Block only when the run queue is dry; otherwise probe.
-    bool Alive = S.Events->poll(Batch, /*Block=*/Run.empty());
+    bool Alive = S.Events.poll(Batch, /*Block=*/Run.empty());
     for (ReadyNode *N : Batch)
       Run.push_back(N->Conn);
     Batch.clear();
@@ -381,15 +357,11 @@ void Reactor::processFrame(Shard &S, Connection &C, FrameNode *Frame) {
   ++C.FramesHandled;
   S.Handled.fetch_add(1, std::memory_order_relaxed);
   // A response completed past its deadline is a failure, not a late
-  // success. (In sim mode the clock has not moved since the dequeue
-  // check: the frame's virtual-time charge lands below.)
+  // success.
   if (deadlinePassed(*Frame))
     P.tryFailure("request deadline exceeded");
   else
     P.trySuccess(std::move(Body));
-
-  if (Opts.Deterministic)
-    SimNanos += kSimFrameNanos + kSimByteNanos * Frame->Wire.size();
 }
 
 void Reactor::retire(Shard &S, Connection &C) {
@@ -436,63 +408,4 @@ void Reactor::sweepGraveyard(Shard &S) {
     }
   }
   S.SweepCursor = I;
-}
-
-//===----------------------------------------------------------------------===//
-// Deterministic-simulation pump
-//===----------------------------------------------------------------------===//
-
-void Reactor::gatherSimReady() {
-  std::vector<ReadyNode *> Batch;
-  for (auto &S : Shards)
-    S->Events->poll(Batch, /*Block=*/false);
-  for (ReadyNode *N : Batch)
-    SimReady.push_back(N->Conn);
-}
-
-bool Reactor::idle() const {
-  assert(Opts.Deterministic && "idle() is a sim-mode query");
-  if (!SimReady.empty())
-    return false;
-  for (const auto &S : Shards)
-    if (!static_cast<SimPoller *>(S->Events.get())->idle())
-      return false;
-  return true;
-}
-
-size_t Reactor::pump(size_t MaxFrames) {
-  assert(Opts.Deterministic &&
-         "pump() drives deterministic reactors; real shards self-drive");
-  size_t Processed = 0;
-  while (Processed < MaxFrames) {
-    gatherSimReady();
-    if (SimReady.empty())
-      break;
-    // Seeded event ordering: pick the next ready connection uniformly.
-    // One frame per step keeps the exploration fine-grained; FIFO within
-    // a connection is preserved by the queue itself.
-    size_t Pick = SimRng.nextBounded(SimReady.size());
-    Connection *C = SimReady[Pick];
-    auto *Frame = static_cast<FrameNode *>(C->Inbound.pop());
-    if (Frame) {
-      processFrame(*Shards[C->ShardIndex], *C, Frame);
-      ++Processed;
-    }
-    // Single-threaded: the disarm/re-check protocol degenerates to a
-    // plain emptiness test.
-    if (!C->Inbound.consumerMaybeNonEmpty()) {
-      C->Armed.store(false, std::memory_order_relaxed);
-      SimReady[Pick] = SimReady.back();
-      SimReady.pop_back();
-    }
-  }
-  for (auto &S : Shards)
-    sweepGraveyard(*S);
-  return Processed;
-}
-
-void Reactor::advanceVirtualTime(uint64_t Nanos) {
-  assert(Opts.Deterministic &&
-         "advanceVirtualTime drives the sim clock; real time advances itself");
-  SimNanos += Nanos;
 }

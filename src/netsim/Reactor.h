@@ -34,23 +34,13 @@
 /// connection, not once per budget slice. Every frame runs inline on its
 /// shard thread.
 ///
-/// Request deadlines have one mechanism in both modes: a call stamps its
-/// frame with an absolute deadline on the shard clock (the wall clock in
-/// real mode, the virtual clock in sim mode), and the shard checks the
-/// stamp when it dequeues the frame and again after the handler ran. An
-/// expired request fails with "request deadline exceeded"; nothing fires
-/// on a timer, so a shard with no traffic never wakes.
+/// Request deadlines have one mechanism: a call stamps its frame with an
+/// absolute deadline on the wall clock, and the shard checks the stamp
+/// when it dequeues the frame and again after the handler ran. An expired
+/// request fails with "request deadline exceeded"; nothing fires on a
+/// timer, so a shard with no traffic never wakes.
 ///
-/// Deterministic-simulation mode: constructed with
-/// ReactorOptions::Deterministic, the reactor spawns no threads and runs
-/// on SimPollers. A single driving thread issues calls and then pumps the
-/// reactor explicitly; the pump picks the next ready connection with a
-/// seeded RNG (exploring cross-connection orderings) while preserving
-/// per-connection FIFO, and advances a virtual clock per frame. Deadlines
-/// are checked against the virtual clock, so which requests expire is a
-/// pure function of the seed and the schedule. Same seed, same schedule,
-/// same virtual time — the proof substrate the differential and regression
-/// tests in tests/netsim build on.
+/// The shard count is the reactor's only setting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +50,6 @@
 #include "forkjoin/MpscQueue.h"
 #include "futures/Future.h"
 #include "netsim/Poller.h"
-#include "support/Rng.h"
 
 #include <atomic>
 #include <cstdint>
@@ -104,9 +93,8 @@ struct FrameNode : forkjoin::MpscNode {
 
 /// One client<->server connection: a passive state machine owned by a
 /// reactor shard. Thread-safe on the producer side (call/close may come
-/// from any thread; in deterministic mode, from the single driving
-/// thread); all Rx state below the marked line is touched only by the
-/// owning shard.
+/// from any thread); all Rx state below the marked line is touched only
+/// by the owning shard.
 class Connection {
 public:
   ~Connection();
@@ -121,14 +109,13 @@ public:
 
   /// Like call(), but the response future fails with "request deadline
   /// exceeded" unless it completes within \p DeadlineAfterNanos
-  /// (relative to now; virtual time in deterministic mode).
+  /// (relative to now).
   futures::Future<Bytes> call(Bytes Request, uint64_t DeadlineAfterNanos);
 
   /// Drain-before-close: enqueues a close marker *behind* every frame
   /// already pushed and blocks until the shard has processed them all —
   /// requests queued before close() still get their responses, and only
-  /// then does the connection close. Idempotent. In deterministic mode
-  /// this pumps the simulation inline instead of blocking.
+  /// then does the connection close. Idempotent.
   void close();
 
   bool isOpen() const {
@@ -174,22 +161,12 @@ private:
   uint64_t FramesHandled = 0;
 };
 
-/// Reactor (and netsim::Server) construction parameters.
-struct ReactorOptions {
-  /// Event-loop shards, each one thread in real mode; connections are
-  /// assigned round-robin.
-  unsigned Shards = 1;
-  /// No threads: SimPollers plus an explicit pump (Reactor::pump,
-  /// Server::pump) with seeded event ordering and virtual time.
-  bool Deterministic = false;
-  /// Seed for the deterministic pump's event ordering.
-  uint64_t Seed = 0x5eedc0de;
-};
-
 /// The reactor: shards, pollers and the connection registry.
 class Reactor {
 public:
-  Reactor(Handler Handle, ReactorOptions Opts);
+  /// Starts \p Shards event-loop shards, one thread each; connections are
+  /// assigned to them round-robin.
+  Reactor(Handler Handle, unsigned Shards);
   ~Reactor();
 
   Reactor(const Reactor &) = delete;
@@ -206,33 +183,6 @@ public:
   size_t connectionsLive() const;
 
   unsigned shards() const { return static_cast<unsigned>(Shards.size()); }
-  bool deterministic() const { return Opts.Deterministic; }
-
-  //===--------------------------------------------------------------===//
-  // Deterministic-simulation driving (Deterministic reactors only)
-  //===--------------------------------------------------------------===//
-
-  /// Processes up to \p MaxFrames frames in seeded-random cross-connection
-  /// order (FIFO within each connection). \returns frames processed.
-  size_t pump(size_t MaxFrames = SIZE_MAX);
-
-  /// Pumps until no connection is ready. \returns frames processed.
-  size_t runUntilIdle() { return pump(SIZE_MAX); }
-
-  /// True when no frame is queued anywhere (sim mode).
-  bool idle() const;
-
-  /// The simulation's virtual clock: advances a deterministic amount per
-  /// processed frame (kSimFrameNanos + size * kSimByteNanos).
-  uint64_t virtualNanos() const { return SimNanos; }
-
-  /// Advances the virtual clock by \p Nanos without processing a frame:
-  /// a queued request whose deadline the clock passed fails when the
-  /// pump dequeues it.
-  void advanceVirtualTime(uint64_t Nanos);
-
-  static constexpr uint64_t kSimFrameNanos = 1000;
-  static constexpr uint64_t kSimByteNanos = 2;
 
   /// Frames a shard drains from one connection per round before the
   /// connection is requeued behind the round's other ready connections.
@@ -242,8 +192,8 @@ private:
   friend class Connection;
 
   struct Shard {
-    std::unique_ptr<Poller> Events;
-    std::thread Loop; ///< real mode only
+    Poller Events;
+    std::thread Loop;
     std::atomic<uint64_t> Handled{0};
     /// Retired connections whose memory cannot be released yet: the
     /// client still holds the handle, or a late producer may still hold
@@ -268,12 +218,8 @@ private:
   /// Takes ownership of \p Frame.
   void processFrame(Shard &S, Connection &C, FrameNode *Frame);
 
-  /// The clock request deadlines are stamped and checked against: the
-  /// wall clock in real mode, the virtual clock in sim mode.
-  uint64_t nowNanos() const;
-
-  /// True when \p Frame carries a deadline the clock has reached.
-  bool deadlinePassed(const FrameNode &Frame) const;
+  /// True when \p Frame carries a deadline the wall clock has reached.
+  static bool deadlinePassed(const FrameNode &Frame);
 
   /// Moves \p C from the registry to \p S's graveyard (idempotent).
   void retire(Shard &S, Connection &C);
@@ -281,11 +227,7 @@ private:
   /// Releases graveyard connections nobody can reach anymore.
   void sweepGraveyard(Shard &S);
 
-  /// Sim mode: refill SimReady from the shards' SimPollers.
-  void gatherSimReady();
-
   Handler Handle;
-  ReactorOptions Opts;
   std::vector<std::unique_ptr<Shard>> Shards;
 
   std::atomic<uint32_t> NextConnId{1};
@@ -298,11 +240,6 @@ private:
   /// and the connection is disarmed.
   mutable std::mutex ConnLock;
   std::unordered_map<uint32_t, std::shared_ptr<Connection>> Registry;
-
-  // Sim-mode state (single driving thread).
-  Xoshiro256StarStar SimRng;
-  uint64_t SimNanos = 0;
-  std::vector<Connection *> SimReady;
 };
 
 } // namespace netsim

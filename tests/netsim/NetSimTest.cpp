@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <thread>
 
 using namespace ren::netsim;
@@ -212,6 +213,73 @@ TEST(ServerTest, CloseDrainsQueuedFramesBeforeClosing) {
   EXPECT_EQ(Srv.requestsHandled(), static_cast<uint64_t>(Queued));
   // Post-close calls fail fast; the drained frames already answered.
   EXPECT_TRUE(Conn->call(toBytes("late")).await().isFailure());
+}
+
+TEST(ServerTest, ExpiredRequestsFailAtDequeueWithoutRunningHandler) {
+  // One shard, so the blocker holds up every other connection: requests
+  // queued behind it expire while they wait, and the shard must fail them
+  // when it dequeues them, without running the handler.
+  std::latch Entered(1), Release(1);
+  Server Srv("deadline",
+             [&](const Bytes &Request) {
+               if (toString(Request) == "block") {
+                 Entered.count_down();
+                 Release.wait();
+               }
+               return echoHandler(Request);
+             },
+             1);
+  constexpr uint64_t kShort = 1'000'000;     // 1 ms
+  constexpr uint64_t kLong = 60'000'000'000; // 60 s
+  auto Blocker = Srv.connect();
+  auto Blocked = Blocker->call(toBytes("block"), kLong);
+  // Queue the rest only once the handler holds the shard, so none of
+  // them can overtake the blocker.
+  Entered.wait();
+
+  constexpr unsigned Conns = 2, PerConn = 6;
+  std::vector<std::unique_ptr<ClientConnection>> Clients;
+  for (unsigned C = 0; C < Conns; ++C)
+    Clients.push_back(Srv.connect());
+  struct Sent {
+    std::string Body;
+    bool Short;
+    ren::futures::Future<Bytes> Response;
+  };
+  std::vector<Sent> Calls;
+  for (unsigned R = 0; R < PerConn; ++R)
+    for (unsigned C = 0; C < Conns; ++C) {
+      std::string Body = std::to_string(C) + ":" + std::to_string(R);
+      bool Short = (C + R) % 2 != 0;
+      auto Response = Clients[C]->call(toBytes(Body), Short ? kShort : kLong);
+      Calls.push_back({Body, Short, std::move(Response)});
+    }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Release.count_down();
+
+  EXPECT_EQ(toString(Blocked.get()), "echo:block");
+  uint64_t LongCalls = 0;
+  for (auto &Call : Calls) {
+    const auto &T = Call.Response.await();
+    if (Call.Short) {
+      ASSERT_TRUE(T.isFailure()) << Call.Body << " outlived its deadline";
+      EXPECT_EQ(T.error(), "request deadline exceeded") << Call.Body;
+    } else {
+      ++LongCalls;
+      ASSERT_TRUE(T.isSuccess()) << Call.Body << ": " << T.error();
+      EXPECT_EQ(toString(T.value()), "echo:" + Call.Body);
+    }
+  }
+  // The handler ran for the blocker and the long-deadline requests only.
+  EXPECT_EQ(Srv.requestsHandled(), 1 + LongCalls);
+
+  Blocker->close();
+  EXPECT_EQ(Srv.connectionsLive(), Conns);
+  for (unsigned C = 0; C < Conns; ++C) {
+    Clients[C]->close();
+    EXPECT_EQ(Srv.connectionsLive(), Conns - 1 - C);
+  }
+  EXPECT_EQ(Srv.connectionsLive(), 0u);
 }
 
 TEST(ServerTest, RpcCountsMonitorMetrics) {

@@ -1,12 +1,14 @@
 //===- tests/netsim/ReactorDifferentialTest.cpp ---------------------------==//
 //
 // Differential testing of the reactor: the same randomized workloads run
-// through the single-threaded deterministic simulation AND the real
-// multi-shard threaded reactor, and the observable behaviour must agree —
-// identical per-connection response ordering (FIFO) and identical response
-// payload bytes. Handlers are interleaving-independent (stateless echo, or
-// chirper-style state keyed purely per client), so any divergence is a
-// reactor bug, not schedule noise.
+// through the multi-shard reactor AND a sequential replay that feeds each
+// connection's script, in order, to a fresh instance of the same handler
+// on the test thread. The replay shares no code with the reactor, and the
+// observable behaviour must agree — identical per-connection response
+// ordering (FIFO) and identical response payload bytes. Handlers are
+// interleaving-independent (stateless echo, or chirper-style state keyed
+// purely per client), so any divergence is a reactor bug, not schedule
+// noise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -28,7 +31,7 @@ using ren::Xoshiro256StarStar;
 namespace {
 
 /// One scripted request stream per connection, generated up front from a
-/// seed so both executions replay byte-identical traffic.
+/// seed so the reactor and the replay see byte-identical traffic.
 struct Script {
   std::vector<std::vector<Bytes>> PerConn; // [conn][request] payload
 };
@@ -105,10 +108,23 @@ Handler makeChirperHandler(std::shared_ptr<std::mutex> Lock,
 /// payloads in completion order.
 using Observed = std::vector<std::vector<Bytes>>;
 
+/// The reference: each connection's script run in order through a fresh
+/// handler from \p MakeHandler, on the calling thread.
+Observed replaySequentially(const Script &S,
+                            const std::function<Handler()> &MakeHandler) {
+  Observed Logs(S.PerConn.size());
+  for (size_t C = 0; C < S.PerConn.size(); ++C) {
+    Handler Handle = MakeHandler();
+    for (const Bytes &Payload : S.PerConn[C])
+      Logs[C].push_back(Handle(Payload));
+  }
+  return Logs;
+}
+
 /// Replays \p S against \p Srv and collects per-connection responses in
-/// the order they complete. Real mode: callbacks run on shard threads, so
-/// each connection's log has its own lock (per-connection order is what
-/// the differential contract is about; cross-connection order is
+/// the order they complete. Callbacks run on shard threads, so each
+/// connection's log has its own lock (per-connection order is what the
+/// differential contract is about; cross-connection order is
 /// schedule-dependent by design and not compared). Every call carries
 /// \p DeadlineAfterNanos (0 = none); a failed future fails the test.
 Observed execute(Server &Srv, const Script &S,
@@ -131,11 +147,25 @@ Observed execute(Server &Srv, const Script &S,
             std::lock_guard<std::mutex> Guard(*LogLocks[C]);
             Logs[C].push_back(T.value());
           });
-  if (Srv.deterministic())
-    Srv.runUntilIdle();
   for (auto &Conn : Pool)
     Conn->close(); // drain-before-close: every response lands first
   return Logs;
+}
+
+/// Asserts that the reactor's per-connection responses equal the
+/// reference's, response for response.
+void expectAgree(const Script &S, const Observed &Reference,
+                 const Observed &Real) {
+  ASSERT_EQ(Reference.size(), Real.size());
+  for (unsigned C = 0; C < Reference.size(); ++C) {
+    ASSERT_EQ(Reference[C].size(), S.PerConn[C].size());
+    ASSERT_EQ(Real[C].size(), S.PerConn[C].size())
+        << "reactor dropped or duplicated responses on connection " << C;
+    for (size_t R = 0; R < Reference[C].size(); ++R)
+      ASSERT_EQ(Reference[C][R], Real[C][R])
+          << "connection " << C << " response " << R
+          << " diverged between the sequential replay and the reactor";
+  }
 }
 
 void runDifferential(const std::string &Mix, uint64_t Seed, unsigned Conns,
@@ -147,7 +177,7 @@ void runDifferential(const std::string &Mix, uint64_t Seed, unsigned Conns,
   Script S = Chirper ? makeChirperScript(Seed, Conns, PerConn)
                      : makeEchoScript(Seed, Conns, PerConn);
 
-  auto MakeHandler = [&]() -> Handler {
+  auto MakeHandler = [Chirper]() -> Handler {
     if (!Chirper)
       return [](const Bytes &Request) { // echo with a marker byte
         Bytes Out = Request;
@@ -158,31 +188,13 @@ void runDifferential(const std::string &Mix, uint64_t Seed, unsigned Conns,
                               std::make_shared<std::map<uint32_t, uint64_t>>());
   };
 
-  Observed Sim, Real;
-  {
-    ServerOptions Opts;
-    Opts.Shards = Shards;
-    Opts.Deterministic = true;
-    Opts.Seed = Seed ^ 0x9e3779b97f4a7c15ULL;
-    Server Srv("sim", MakeHandler(), Opts);
-    Sim = execute(Srv, S);
-  }
+  Observed Reference = replaySequentially(S, MakeHandler);
+  Observed Real;
   {
     Server Srv("real", MakeHandler(), Shards);
     Real = execute(Srv, S);
   }
-
-  ASSERT_EQ(Sim.size(), Real.size());
-  for (unsigned C = 0; C < Sim.size(); ++C) {
-    ASSERT_EQ(Sim[C].size(), S.PerConn[C].size())
-        << "sim dropped responses on connection " << C;
-    ASSERT_EQ(Real[C].size(), S.PerConn[C].size())
-        << "real reactor dropped responses on connection " << C;
-    for (size_t R = 0; R < Sim[C].size(); ++R)
-      ASSERT_EQ(Sim[C][R], Real[C][R])
-          << "connection " << C << " response " << R
-          << " diverged between simulation and real reactor";
-  }
+  expectAgree(S, Reference, Real);
 }
 
 } // namespace
@@ -208,19 +220,19 @@ TEST(ReactorDifferentialTest, RandomizedSizesStressTheEnvelopeCodec) {
 
 TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithDeadlinesArmed) {
   // Stalls and deadline checks must be invisible to the differential
-  // contract: a handler that stalls (real mode only — the stall changes
-  // timing, never bytes) holds up its shard while the other connections'
-  // frames queue behind it, and every request carries a deadline far
-  // beyond the run. Responses must still match the simulation
-  // byte-for-byte in per-connection order; an armed deadline that fired
-  // would fail a future, which execute() reports.
-  constexpr uint64_t kGenerousDeadline = 60'000'000'000; // 60 s, either clock
+  // contract: a handler that stalls (in the reactor only — the stall
+  // changes timing, never bytes) holds up its shard while the other
+  // connections' frames queue behind it, and every request carries a
+  // deadline far beyond the run. Responses must still match the
+  // sequential replay byte-for-byte in per-connection order; an armed
+  // deadline that fired would fail a future, which execute() reports.
+  constexpr uint64_t kGenerousDeadline = 60'000'000'000; // 60 s
   for (uint64_t Seed : {21ull, 0xfadedULL}) {
     SCOPED_TRACE("slow-mix seed=" + std::to_string(Seed));
     Script S = makeEchoScript(Seed, /*Conns=*/6, /*PerConn=*/24);
-    auto MakeHandler = [](bool RealMode) -> Handler {
-      return [RealMode](const Bytes &Request) {
-        if (RealMode && !Request.empty() && (Request[0] & 3) == 0)
+    auto MakeHandler = [](bool Stall) -> Handler {
+      return [Stall](const Bytes &Request) {
+        if (Stall && !Request.empty() && (Request[0] & 3) == 0)
           std::this_thread::sleep_for(std::chrono::microseconds(200));
         Bytes Out = Request;
         Out.push_back(0x51);
@@ -228,31 +240,13 @@ TEST(ReactorDifferentialTest, SlowHandlerMixAgreesWithDeadlinesArmed) {
       };
     };
 
-    Observed Sim, Real;
+    Observed Reference =
+        replaySequentially(S, [&] { return MakeHandler(false); });
+    Observed Real;
     {
-      ServerOptions Opts;
-      Opts.Shards = 2;
-      Opts.Deterministic = true;
-      Opts.Seed = Seed ^ 0x9e3779b97f4a7c15ULL;
-      Server Srv("sim", MakeHandler(false), Opts);
-      Sim = execute(Srv, S, kGenerousDeadline);
-    }
-    {
-      ServerOptions Opts;
-      Opts.Shards = 2;
-      Server Srv("real", MakeHandler(true), Opts);
+      Server Srv("real", MakeHandler(true), /*Shards=*/2);
       Real = execute(Srv, S, kGenerousDeadline);
     }
-
-    ASSERT_EQ(Sim.size(), Real.size());
-    for (unsigned C = 0; C < Sim.size(); ++C) {
-      ASSERT_EQ(Sim[C].size(), S.PerConn[C].size());
-      ASSERT_EQ(Real[C].size(), S.PerConn[C].size())
-          << "stalled frames dropped or duplicated on connection " << C;
-      for (size_t R = 0; R < Sim[C].size(); ++R)
-        ASSERT_EQ(Sim[C][R], Real[C][R])
-            << "connection " << C << " response " << R
-            << " diverged behind a stalled handler";
-    }
+    expectAgree(S, Reference, Real);
   }
 }

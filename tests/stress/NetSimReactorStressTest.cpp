@@ -243,7 +243,7 @@ private:
 /// same connection with plain traffic through a deliberately slow
 /// handler. Every future must resolve exactly once — success with the
 /// right payload, or "request deadline exceeded" from whichever of the
-/// two real-mode expiry paths won (the check at dequeue, or the check
+/// two expiry paths won (the check at dequeue, or the check
 /// after the handler ran).
 class TimeoutRacesInFlightResponseScenario : public StressScenario {
   static constexpr unsigned kDeadlined = 4;

@@ -47,10 +47,29 @@ void *operator new[](std::size_t Size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// also come from malloc: the delete replacements below free whatever
+// reaches them.
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  GAllocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
+
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  GAllocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
+
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 using namespace ren::trace;
 
